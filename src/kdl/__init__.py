@@ -67,7 +67,6 @@ from .geom import (
 )
 from .plat import (
     ArcTag,
-    HelixParams,
     PlatSpec,
     arc_polyline,
     build_plat,
@@ -87,7 +86,6 @@ __all__ = [
     "BoundsReport",
     "DegenerateCurve",
     "DistortionCertificate",
-    "HelixParams",
     "HypothesisViolated",
     "InfeasibleStart",
     "InvalidSpec",

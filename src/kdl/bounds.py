@@ -19,9 +19,9 @@ evaluation, which the tests pin down).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
+from .distortion import helix_ratio_bound
 from .errors import HypothesisViolated, NonPositiveClearance, NotAlternating
 from .geom import PolyCurve, min_clearance
 from .plat import PlatSpec, regions_for
@@ -163,7 +163,7 @@ def make_report(
     d = bridge_distance(b, n)
     k = float(min(d, 2 * b))
     tmax = max(abs(w) for w in spec.twists.values())
-    l = math.sqrt((math.pi * tmax / 2.0) ** 2 + 1.0)
+    l = helix_ratio_bound(tmax)
     if curve is not None and curve.arcs:
         tag_l = max(
             (a.nominal_length for a in curve.arcs if a.kind == "twist"), default=l

@@ -28,7 +28,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateCurve, NotEmbedded, OutOfRange
-from .geom import PolyCurve, _min_clearance_pair, _points_at, _seg_seg_dist
+from .geom import (
+    PolyCurve,
+    _dot,
+    _interior_angles,
+    _min_clearance_pair,
+    _points_at,
+    _seg_seg_dist,
+)
 
 __all__ = [
     "WitnessPair",
@@ -122,30 +129,54 @@ def helix_ratio_bound(t) -> float:
     return math.sqrt((math.pi * t / 2.0) ** 2 + 1.0)
 
 
-def _pair_ratios(c: PolyCurve, s: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Ratio for parameter arrays; pairs with chord below the floor get 0."""
-    p = _points_at(c, s)
-    q = _points_at(c, t)
-    chord = np.linalg.norm(p - q, axis=-1)
+def _ratios(p, q, s, t, L) -> np.ndarray:
+    """Arc/chord ratio of point pairs p, q at parameters s, t on a loop of
+    length L, elementwise; chords below the floor give 0.  An open
+    polyline passes L = inf, so the arc is plain |s - t|."""
+    diff = p - q
+    chord = np.sqrt(_dot(diff, diff))
     d = np.abs(s - t)
-    arc = np.minimum(d, c.total_len - d)
+    arc = np.minimum(d, L - d)
     ok = chord >= _CHORD_FLOOR
     return np.where(ok, arc / np.where(ok, chord, 1.0), 0.0)
 
 
+def _pair_ratios(c: PolyCurve, s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Ratio for parameter arrays on curve c."""
+    return _ratios(_points_at(c, s), _points_at(c, t), s, t, c.total_len)
+
+
 def _pair_blocks(n: int, k: int):
-    """Index blocks (i, j) covering the triangle j >= i + k, at most
-    ~_CHUNK pairs per block.
+    """Index blocks (i, j) covering the triangle j >= i + k in row-major
+    order, at most ~_CHUNK pairs per block.
 
     Never materializes the full pair list: for tens of thousands of
     parameters the n^2/2 index pair array alone would not fit in memory.
     """
     rows = max(1, _CHUNK // max(n, 1))
     for r0 in range(0, max(n - k, 0), rows):
-        r1 = min(r0 + rows, n - k)
-        ii = [np.full(n - i - k, i) for i in range(r0, r1)]
-        jj = [np.arange(i + k, n) for i in range(r0, r1)]
-        yield np.concatenate(ii), np.concatenate(jj)
+        i = np.arange(r0, min(r0 + rows, n - k))
+        lens = n - k - i
+        ii = np.repeat(i, lens)
+        # j runs from i + k within each row: a flat counter minus the
+        # row's start in the block, shifted to i + k
+        starts = np.cumsum(lens) - lens
+        jj = np.arange(len(ii)) + np.repeat(i + k - starts, lens)
+        yield ii, jj
+
+
+def _max_ratio(points: np.ndarray, params: np.ndarray, L: float):
+    """Largest ratio over all pairs i < j of points at params on a loop of
+    length L (inf for an open polyline).  Returns (ratio, i, j), the
+    first maximal pair in row-major order; ratio is -1 for fewer than
+    two points."""
+    best, bi, bj = -1.0, 0, 0
+    for ii, jj in _pair_blocks(len(points), 1):
+        r = _ratios(points[ii], points[jj], params[ii], params[jj], L)
+        k = int(np.argmax(r))
+        if r[k] > best:
+            best, bi, bj = float(r[k]), int(ii[k]), int(jj[k])
+    return best, bi, bj
 
 
 def distortion_sampled(c: PolyCurve, n_samples: int = 1024) -> WitnessPair:
@@ -162,22 +193,12 @@ def distortion_sampled(c: PolyCurve, n_samples: int = 1024) -> WitnessPair:
         [c.cum_len[: c.m], np.arange(n_samples) * (c.total_len / max(n_samples, 1))]
     )
     params = params[params < c.total_len]
-    n = len(params)
-    if n < 2:
+    if len(params) < 2:
         raise DegenerateCurve("not enough sample points for a pair")
-    best = -1.0
-    bs = bt = 0.0
-    for ii, jj in _pair_blocks(n, 1):
-        ss = params[ii]
-        tt = params[jj]
-        r = _pair_ratios(c, ss, tt)
-        k = int(np.argmax(r))
-        if r[k] > best:
-            best = float(r[k])
-            bs, bt = float(ss[k]), float(tt[k])
+    best, i, j = _max_ratio(_points_at(c, params), params, c.total_len)
     if best <= 0.0:
         raise DegenerateCurve("every sampled pair was chord-degenerate")
-    return WitnessPair(s=bs, t=bt, ratio=best)
+    return WitnessPair(s=float(params[i]), t=float(params[j]), ratio=best)
 
 
 def _subsegment_endpoints(c: PolyCurve, edge: np.ndarray, a: np.ndarray, b: np.ndarray):
@@ -256,13 +277,7 @@ def max_pair_ratio_open(points):
         raise DegenerateCurve("need an (n, 3) array with n >= 2")
     seg = np.linalg.norm(P[1:] - P[:-1], axis=1)
     cum = np.concatenate(([0.0], np.cumsum(seg)))
-    iu, ju = np.triu_indices(len(P), k=1)
-    chord = np.linalg.norm(P[ju] - P[iu], axis=1)
-    arc = cum[ju] - cum[iu]
-    ok = chord >= _CHORD_FLOOR
-    ratio = np.where(ok, arc / np.where(ok, chord, 1.0), 0.0)
-    k = int(np.argmax(ratio))
-    return float(ratio[k]), int(iu[k]), int(ju[k])
+    return _max_ratio(P, cum, math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -279,14 +294,8 @@ def _initial_vertex_scan(c: PolyCurve):
     """
     m, L = c.m, c.total_len
     params = c.cum_len[:m]
-    best, bs, bt = -1.0, 0.0, 0.0
-    for ii, jj in _pair_blocks(m, 1):
-        ss = params[ii]
-        tt = params[jj]
-        r = _pair_ratios(c, ss, tt)
-        k = int(np.argmax(r))
-        if r[k] > best:
-            best, bs, bt = float(r[k]), float(ss[k]), float(tt[k])
+    best, i, j = _max_ratio(_points_at(c, params), params, L)
+    bs, bt = float(params[i]), float(params[j])
     arm = 0.5 * np.minimum(np.minimum(np.roll(c.edge_lens, 1), c.edge_lens), 0.25 * L)
     ss = params - arm
     ss[ss < 0.0] += L
@@ -306,15 +315,8 @@ def _corner_sup(c: PolyCurve) -> float:
     chord >= (a + b) * sin(phi/2) for arm lengths a, b, so the corner
     ratio dominates the whole cell; no such cell is ever queued.
     """
-    angles = [corner_ratio(_interior_angle_fast(c, i)) for i in range(c.m)]
-    return max(angles)
-
-
-def _interior_angle_fast(c: PolyCurve, i: int) -> float:
-    a = c.vertices[i - 1] - c.vertices[i]
-    b = c.vertices[(i + 1) % c.m] - c.vertices[i]
-    cross = np.linalg.norm(np.cross(a, b))
-    return math.atan2(cross, float(np.dot(a, b)))
+    # corner_ratio falls as the angle opens, so the sharpest corner wins
+    return corner_ratio(float(_interior_angles(c.vertices).min()))
 
 
 def distortion_certified(

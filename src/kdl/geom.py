@@ -42,10 +42,6 @@ __all__ = [
     "save_curve",
 ]
 
-# Exact all-pairs clearance below this vertex count; spatial grid above.
-_BRUTE_CLEARANCE_LIMIT = 700
-
-
 @dataclass(frozen=True)
 class Point3:
     """A point in R^3.  Thin wrapper so public signatures stay readable."""
@@ -216,18 +212,23 @@ def interior_angle(c: PolyCurve, i: int) -> float:
     """
     if not (0 <= i < c.m):
         raise OutOfRange(f"vertex index {i} outside 0..{c.m - 1}")
-    a = c.vertices[i - 1] - c.vertices[i]
-    b = c.vertices[(i + 1) % c.m] - c.vertices[i]
-    cross = np.linalg.norm(np.cross(a, b))
-    dot = float(np.dot(a, b))
-    # atan2 is stable near both 0 and pi, unlike arccos of the normalized dot.
-    # A return of exactly 0.0 only happens for a cusp (the curve doubles back
-    # along itself), which downstream treats as infinitely sharp.
-    return math.atan2(cross, dot)
+    # vertex i is the middle one of its own three-vertex loop
+    return float(_interior_angles(c.vertices[[i - 1, i, (i + 1) % c.m]])[1])
 
 
 def _dot(u, v):
     return np.einsum("...k,...k->...", u, v)
+
+
+def _interior_angles(V: np.ndarray) -> np.ndarray:
+    """Interior angle at every vertex of the closed loop V, in [0, pi]."""
+    a = np.roll(V, 1, axis=0) - V
+    b = np.roll(V, -1, axis=0) - V
+    cross = np.cross(a, b)
+    # atan2 is stable near both 0 and pi, unlike arccos of the normalized dot.
+    # A return of exactly 0.0 only happens for a cusp (the curve doubles back
+    # along itself), which downstream treats as infinitely sharp.
+    return np.arctan2(np.sqrt(_dot(cross, cross)), _dot(a, b))
 
 
 def _seg_seg_dist(p1, d1, p2, d2):
@@ -284,34 +285,13 @@ def segment_min_distance(a0, a1, b0, b1) -> float:
     )
 
 
-def _clearance_brute(c: PolyCurve):
-    m = c.m
-    if m < 4:
-        return math.inf, -1, -1
-    iu, ju = np.triu_indices(m, k=2)
-    keep = ~((iu == 0) & (ju == m - 1))
-    iu, ju = iu[keep], ju[keep]
-    if len(iu) == 0:
-        return math.inf, -1, -1
-    V = c.vertices
-    D = c.edge_lens[:, None] * c.edge_dirs
-    best = math.inf
-    bi = bj = -1
-    chunk = 2_000_000
-    for lo in range(0, len(iu), chunk):
-        ii, jj = iu[lo : lo + chunk], ju[lo : lo + chunk]
-        d = _seg_seg_dist(V[ii], D[ii], V[jj], D[jj])
-        k = int(np.argmin(d))
-        if d[k] < best:
-            best = float(d[k])
-            bi, bj = int(ii[k]), int(jj[k])
-    return best, bi, bj
+def _min_clearance_pair(c: PolyCurve):
+    """Exact clearance and the edge pair attaining it, (d, i, j) with i < j;
+    (inf, -1, -1) when no two edges are vertex-disjoint.
 
-
-def _clearance_grid(c: PolyCurve):
-    """Exact clearance for big curves: bin edge midpoints on a grid whose
-    cell size is a proven upper bound for the answer plus edge radii, so
-    the closest eligible pair is always within one 27-neighbourhood."""
+    Bins edge midpoints on a grid whose cell size is a proven upper bound
+    for the answer plus edge radii, so the closest eligible pair is always
+    within one 27-neighbourhood."""
     m = c.m
     V = c.vertices
     D = c.edge_lens[:, None] * c.edge_dirs
@@ -375,58 +355,6 @@ def min_clearance(c: PolyCurve) -> float:
     """
     d, _, _ = _min_clearance_pair(c)
     return d
-
-
-def _pairwise_edge_distance_matrix(c: PolyCurve) -> np.ndarray:
-    """Dense (m, m) matrix of segment distances with same/adjacent edge
-    entries at +inf.  Quadratic memory -- for small curves only (the
-    refiner's incremental clearance tracking)."""
-    m = c.m
-    out = np.full((m, m), math.inf)
-    if m < 4:
-        return out
-    V = c.vertices
-    D = c.edge_lens[:, None] * c.edge_dirs
-    iu, ju = np.triu_indices(m, k=2)
-    keep = ~((iu == 0) & (ju == m - 1))
-    iu, ju = iu[keep], ju[keep]
-    d = _seg_seg_dist(V[iu], D[iu], V[ju], D[ju])
-    out[iu, ju] = d
-    out[ju, iu] = d
-    return out
-
-
-def _pair_min_over(verts: np.ndarray, D: np.ndarray, ea: int, eb: int):
-    """Clearance matrix after a vertex move that changed edges ea and eb.
-
-    Returns (updated copy, new global minimum).  Rows/columns for the two
-    touched edges are recomputed against everything in one batched call;
-    adjacency stays inf.
-    """
-    m = len(verts)
-    Dnew = D.copy()
-    if m < 4:
-        return Dnew, math.inf
-    deltas = np.roll(verts, -1, axis=0) - verts
-    edges = sorted({ea % m, eb % m})
-    k = len(edges)
-    p1 = np.repeat(verts[edges], m, axis=0)
-    d1 = np.repeat(deltas[edges], m, axis=0)
-    p2 = np.tile(verts, (k, 1))
-    d2 = np.tile(deltas, (k, 1))
-    rows = _seg_seg_dist(p1, d1, p2, d2).reshape(k, m)
-    for idx, e in enumerate(edges):
-        row = rows[idx]
-        row[[(e - 1) % m, e, (e + 1) % m]] = math.inf
-        Dnew[e, :] = row
-        Dnew[:, e] = row
-    return Dnew, float(Dnew.min())
-
-
-def _min_clearance_pair(c: PolyCurve):
-    if c.m <= _BRUTE_CLEARANCE_LIMIT:
-        return _clearance_brute(c)
-    return _clearance_grid(c)
 
 
 # ---------------------------------------------------------------------------

@@ -35,17 +35,18 @@ the per-half-twist sample count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .distortion import _max_ratio, helix_ratio_bound, max_pair_ratio_open
 from .errors import InvalidSpec, NotAKnot, SelfIntersecting
 from .geom import PolyCurve, build_polycurve, _min_clearance_pair
 
 __all__ = [
     "PlatSpec",
     "ArcTag",
-    "HelixParams",
+    "arc_polyline",
     "make_alternating_jm_spec",
     "make_uniform_jm_spec",
     "regions_for",
@@ -122,44 +123,6 @@ class PlatSpec:
             return ("twist", j)
         j = (k + 1) // 2
         return ("twist", j)
-
-
-@dataclass(frozen=True)
-class HelixParams:
-    """Canonical strand-on-a-cylinder shape used inside twist regions.
-
-    The local form is (r cos(x/2), r sin(x/2), pitch * x) for
-    x in [0, x_max]; with r = 1/2, x_max = 2*pi*t and pitch chosen so
-    the strand climbs exactly unit height over t half-turns.
-    """
-
-    radius: float
-    half_twists: int
-    pitch: float
-    x_max: float
-
-    @staticmethod
-    def for_count(t: int) -> "HelixParams":
-        t = int(t)
-        if t < 1:
-            raise InvalidSpec("a twist strand needs at least one half-twist")
-        return HelixParams(
-            radius=0.5, half_twists=t, pitch=1.0 / (2.0 * math.pi * t), x_max=2.0 * math.pi * t
-        )
-
-    def point(self, x: float) -> np.ndarray:
-        return np.array(
-            [
-                self.radius * math.cos(0.5 * x),
-                self.radius * math.sin(0.5 * x),
-                self.pitch * x,
-            ]
-        )
-
-    def arc_length(self) -> float:
-        # constant speed sqrt(r^2/4 + pitch^2) over x_max
-        speed = math.hypot(0.5 * self.radius, self.pitch)
-        return speed * self.x_max
 
 
 @dataclass(frozen=True)
@@ -335,125 +298,65 @@ def build_plat(spec: PlatSpec, samples_per_half_twist: int = 16) -> PolyCurve:
         )
     b, n = spec.b, spec.n
     n_seg_bridge = max(16, samples_per_half_twist)
+    perms = {i: _row_permutation(spec, i) for i in range(1, n + 1)}
+
+    def descend(i, k):
+        """The piece entering row i from above at position k: its walk
+        key, its points from top to bottom and its tag skeleton."""
+        kind, j = spec.piece_at(i, k)
+        if kind == "vertical":
+            x = _position_x(k)
+            pts = np.array([[x, 0.0, -float(i - 1)], [x, 0.0, -float(i)]])
+            return ("vertical", i, k), pts, ArcTag("vertical", 1 if k == 1 else 2, (0, 0), 1.0)
+        axis = spec.region_axis(i, j)
+        w = spec.twists[(i, j)]
+        theta0 = 0.0 if _position_x(k) > axis else math.pi
+        pts = _twist_strand_points(
+            axis, -float(i - 1), theta0, w, samples_per_half_twist * abs(w)
+        )
+        tag = ArcTag(
+            "twist",
+            1 if theta0 == 0.0 else 2,
+            (0, 0),
+            helix_ratio_bound(w),
+            region=(i, j),
+            half_twists=w,
+        )
+        return ("twist", i, j, theta0), pts, tag
+
+    def bridge(k, top):
+        """The bridge leaving position k at the top or the bottom."""
+        m_ = (k + 1) // 2
+        z0 = 0.0 if top else -float(n)
+        pts = _bridge_points(2.0 * m_, z0, _position_x(k), top, n_seg_bridge)
+        return ("bridge", top, m_), pts, ArcTag("bridge", 1 if top else 2, (0, 0), math.pi / 2.0)
 
     pieces = []  # (points, tag-skeleton) in traversal order
     visited = set()
 
-    def strand_top_info(i, j, bottom_k):
-        """Top position and angle of the strand that exits region (i,j)
-        at bottom position bottom_k."""
-        ka, kb = spec.region_positions(i, j)
-        w = spec.twists[(i, j)]
-        if abs(w) % 2 == 1:
-            top_k = kb if bottom_k == ka else ka
-        else:
-            top_k = bottom_k
-        axis = spec.region_axis(i, j)
-        theta0 = 0.0 if _position_x(top_k) > axis else math.pi
-        return top_k, theta0
+    def add(key, pts, tag):
+        assert key not in visited, "walk revisited a piece"
+        visited.add(key)
+        pieces.append((pts, tag))
 
-    level, k, going_down = 0, 1, True
+    # Rows only swap coupled pairs, so each row permutation is its own
+    # inverse: climbing row i from bottom position k retraces the descent
+    # from top position perms[i][k].
+    k = 1
     while True:
-        if going_down:
-            if level < n:
-                i = level + 1
-                kind, jj = spec.piece_at(i, k)
-                if kind == "vertical":
-                    key = ("vertical", i, k)
-                    assert key not in visited, "walk revisited a piece"
-                    visited.add(key)
-                    x = _position_x(k)
-                    pts = np.array([[x, 0.0, -float(level)], [x, 0.0, -float(i)]])
-                    pieces.append(
-                        (pts, ArcTag("vertical", 1 if k == 1 else 2, (0, 0), 1.0))
-                    )
-                    level = i
-                else:
-                    j = jj
-                    axis = spec.region_axis(i, j)
-                    w = spec.twists[(i, j)]
-                    theta0 = 0.0 if _position_x(k) > axis else math.pi
-                    key = ("twist", i, j, theta0)
-                    assert key not in visited, "walk revisited a piece"
-                    visited.add(key)
-                    pts = _twist_strand_points(
-                        axis, -float(level), theta0, w, samples_per_half_twist * abs(w)
-                    )
-                    nom = math.sqrt((math.pi * abs(w) / 2.0) ** 2 + 1.0)
-                    tag = ArcTag(
-                        "twist",
-                        1 if theta0 == 0.0 else 2,
-                        (0, 0),
-                        nom,
-                        region=(i, j),
-                        half_twists=w,
-                    )
-                    pieces.append((pts, tag))
-                    ka, kb = spec.region_positions(i, j)
-                    if abs(w) % 2 == 1:
-                        k = kb if k == ka else ka
-                    level = i
-            else:
-                # bottom bridge
-                m_ = (k + 1) // 2
-                key = ("bridge", "bottom", m_)
-                assert key not in visited, "walk revisited a piece"
-                visited.add(key)
-                partner = k + 1 if k % 2 == 1 else k - 1
-                pts = _bridge_points(2.0 * m_, -float(n), _position_x(k), False, n_seg_bridge)
-                pieces.append((pts, ArcTag("bridge", 2, (0, 0), math.pi / 2.0)))
-                k = partner
-                going_down = False
-        else:
-            if level > 0:
-                i = level
-                kind, jj = spec.piece_at(i, k)
-                if kind == "vertical":
-                    key = ("vertical", i, k)
-                    assert key not in visited, "walk revisited a piece"
-                    visited.add(key)
-                    x = _position_x(k)
-                    pts = np.array([[x, 0.0, -float(i)], [x, 0.0, -float(i - 1)]])
-                    pieces.append(
-                        (pts, ArcTag("vertical", 1 if k == 1 else 2, (0, 0), 1.0))
-                    )
-                    level = i - 1
-                else:
-                    j = jj
-                    axis = spec.region_axis(i, j)
-                    w = spec.twists[(i, j)]
-                    top_k, theta0 = strand_top_info(i, j, k)
-                    key = ("twist", i, j, theta0)
-                    assert key not in visited, "walk revisited a piece"
-                    visited.add(key)
-                    pts = _twist_strand_points(
-                        axis, -float(i - 1), theta0, w, samples_per_half_twist * abs(w)
-                    )[::-1]
-                    nom = math.sqrt((math.pi * abs(w) / 2.0) ** 2 + 1.0)
-                    tag = ArcTag(
-                        "twist",
-                        1 if theta0 == 0.0 else 2,
-                        (0, 0),
-                        nom,
-                        region=(i, j),
-                        half_twists=w,
-                    )
-                    pieces.append((pts, tag))
-                    k = top_k
-                    level = i - 1
-            else:
-                # top bridge
-                m_ = (k + 1) // 2
-                key = ("bridge", "top", m_)
-                assert key not in visited, "walk revisited a piece"
-                visited.add(key)
-                partner = k + 1 if k % 2 == 1 else k - 1
-                pts = _bridge_points(2.0 * m_, 0.0, _position_x(k), True, n_seg_bridge)
-                pieces.append((pts, ArcTag("bridge", 1, (0, 0), math.pi / 2.0)))
-                k = partner
-                going_down = True
-                if k == 1:
-                    break
+        for i in range(1, n + 1):
+            add(*descend(i, k))
+            k = perms[i][k]
+        add(*bridge(k, top=False))
+        k = k + 1 if k % 2 == 1 else k - 1
+        for i in range(n, 0, -1):
+            k = perms[i][k]
+            key, pts, tag = descend(i, k)
+            add(key, pts[::-1], tag)
+        add(*bridge(k, top=True))
+        k = k + 1 if k % 2 == 1 else k - 1
+        if k == 1:
+            break
 
     n_regions = len(spec.twists)
     expected = 2 * b + (n + 1) + 2 * n_regions
@@ -467,16 +370,7 @@ def build_plat(spec: PlatSpec, samples_per_half_twist: int = 16) -> PolyCurve:
     for pts, tag in pieces:
         owned = len(pts) - 1
         vert_chunks.append(pts[:-1])
-        tags.append(
-            ArcTag(
-                kind=tag.kind,
-                strand=tag.strand,
-                vrange=(offset, offset + owned),
-                nominal_length=tag.nominal_length,
-                region=tag.region,
-                half_twists=tag.half_twists,
-            )
-        )
+        tags.append(replace(tag, vrange=(offset, offset + owned)))
         offset += owned
     curve = build_polycurve(np.concatenate(vert_chunks), arcs=tags)
     clear, ci, cj = _min_clearance_pair(curve)
@@ -496,33 +390,22 @@ def arc_polyline(curve: PolyCurve, tag: ArcTag) -> np.ndarray:
 
 
 def max_adjacent_arc_ratio(curve: PolyCurve):
-    """Worst through-junction ratio over consecutive arc pairs.
+    """Worst ratio over vertex pairs on two consecutive arcs.
 
-    For every cyclically consecutive pair of tagged arcs, takes all cross
-    pairs of their vertices and evaluates shorter-way arclength over
-    chord.  Returns (ratio, (arc_index, next_arc_index)).
+    For every cyclically consecutive pair of tagged arcs, takes all pairs
+    of vertices of the two arcs joined (through the far junction point of
+    the second) and evaluates shorter-way arclength over chord.  Returns
+    (ratio, (arc_index, next_arc_index)).
     """
     if not curve.arcs:
         raise InvalidSpec("curve carries no arc tags; build it with build_plat")
-    L = curve.total_len
     best, best_pair = 0.0, (0, 0)
     n_arcs = len(curve.arcs)
     for a in range(n_arcs):
         b_ = (a + 1) % n_arcs
-        ia = np.arange(curve.arcs[a].vrange[0], curve.arcs[a].vrange[1])
-        ib = np.arange(curve.arcs[b_].vrange[0], curve.arcs[b_].vrange[1])
-        ib = np.append(ib, curve.arcs[b_].vrange[1] % curve.m)
-        pa = curve.cum_len[ia]
-        pb = curve.cum_len[ib]
-        P = curve.vertices[ia]
-        Q = curve.vertices[ib % curve.m]
-        diff = P[:, None, :] - Q[None, :, :]
-        chord = np.linalg.norm(diff, axis=-1)
-        d = np.abs(pa[:, None] - pb[None, :])
-        arc = np.minimum(d, L - d)
-        ok = chord >= 1e-12
-        ratio = np.where(ok, arc / np.where(ok, chord, 1.0), 0.0)
-        r = float(ratio.max())
+        i0, i1 = curve.arcs[a].vrange[0], curve.arcs[b_].vrange[1]
+        idx = np.arange(i0, i1 + 1 if i1 > i0 else curve.m + i1 + 1) % curve.m
+        r, _, _ = _max_ratio(curve.vertices[idx], curve.cum_len[idx], curve.total_len)
         if r > best:
             best, best_pair = r, (a, b_)
     return best, best_pair
@@ -547,8 +430,6 @@ def run_claim_checks(t: int = 3, samples: int = 64, strand_fn=None):
     name, ratio, bound, passed, witness (the realizing point pair, or
     None for the purely arithmetic check).
     """
-    from .distortion import helix_ratio_bound, max_pair_ratio_open
-
     if strand_fn is None:
         strand_fn = _twist_strand_points
     t = int(t)

@@ -21,8 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .distortion import _max_ratio
 from .errors import InfeasibleStart
-from .geom import PolyCurve, build_polycurve, _pairwise_edge_distance_matrix, _pair_min_over
+from .geom import PolyCurve, _seg_seg_dist, build_polycurve, min_clearance
 
 __all__ = ["RefineConfig", "refine"]
 
@@ -49,8 +50,8 @@ class RefineConfig:
 def _sampled_max_ratio(verts: np.ndarray, n_samples: int) -> float:
     """Worst arc/chord ratio over vertices plus n_samples spaced points.
 
-    Same sample set and formula as distortion_sampled, specialized to raw
-    vertex arrays so the annealing loop stays cheap.
+    Same sample set and ratio kernel as distortion_sampled, built from the
+    raw vertex array so the annealing loop needs no PolyCurve per move.
     """
     m = len(verts)
     deltas = np.roll(verts, -1, axis=0) - verts
@@ -66,13 +67,19 @@ def _sampled_max_ratio(verts: np.ndarray, n_samples: int) -> float:
     extra = verts[k] + frac[:, None] * deltas[k]
     P = np.concatenate([verts, extra])
     params = np.concatenate([cum[:m], sp])
-    diff = P[:, None, :] - P[None, :, :]
-    chord = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    dp = np.abs(params[:, None] - params[None, :])
-    arc = np.minimum(dp, L - dp)
-    ok = chord >= 1e-12
-    ratio = np.where(ok, arc / np.where(ok, chord, 1.0), 0.0)
-    return float(ratio.max())
+    return _max_ratio(P, params, L)[0]
+
+
+def _moved_clearance(verts: np.ndarray, vi: int) -> float:
+    """Least distance from the two edges at vertex vi to the edges that
+    share no vertex with them (inf when there are none)."""
+    m = len(verts)
+    deltas = np.roll(verts, -1, axis=0) - verts
+    edges = [(vi - 1) % m, vi]
+    rows = _seg_seg_dist(verts[edges, None], deltas[edges, None], verts, deltas)
+    for row, e in zip(rows, edges):
+        row[[(e - 1) % m, e, (e + 1) % m]] = math.inf
+    return float(rows.min())
 
 
 def refine(c: PolyCurve, cfg: RefineConfig, log_path=None) -> PolyCurve:
@@ -84,8 +91,7 @@ def refine(c: PolyCurve, cfg: RefineConfig, log_path=None) -> PolyCurve:
     Optional ``log_path`` writes a CSV of (iteration, best_ratio,
     clearance) every 100 iterations.
     """
-    D0 = _pairwise_edge_distance_matrix(c)
-    clear0 = float(D0.min()) if D0.size else math.inf
+    clear0 = min_clearance(c)
     if clear0 < cfg.clearance_floor:
         raise InfeasibleStart(
             f"initial clearance {clear0:.6g} is below the floor "
@@ -103,10 +109,8 @@ def refine(c: PolyCurve, cfg: RefineConfig, log_path=None) -> PolyCurve:
     cur_obj = _sampled_max_ratio(verts, n_samples)
     best_obj = cur_obj
     best_verts = verts.copy()
-    D = D0
-    cur_clear = clear0
     T = 0.01
-    log_rows = [(0, best_obj, cur_clear)]
+    log_rows = [(0, best_obj, clear0)]
 
     for it in range(1, cfg.iterations + 1):
         vi = int(rng.integers(m))
@@ -119,7 +123,7 @@ def refine(c: PolyCurve, cfg: RefineConfig, log_path=None) -> PolyCurve:
 
         prev_v = verts[vi - 1]
         next_v = verts[(vi + 1) % m]
-        # refuse moves that collapse an edge; the dense matrix ignores
+        # refuse moves that collapse an edge; the clearance check ignores
         # adjacent pairs, so this is the only degeneracy the floor misses
         if min(np.linalg.norm(cand_v - prev_v), np.linalg.norm(cand_v - next_v)) < 1e-9:
             T *= cfg.cooling
@@ -132,19 +136,18 @@ def refine(c: PolyCurve, cfg: RefineConfig, log_path=None) -> PolyCurve:
         if delta > 0.0 and not (float(rng.random()) < math.exp(-delta / max(T, 1e-300))):
             T *= cfg.cooling
             continue
-        # objective accepted the move; the clearance floor has the veto
-        Dnew, cand_clear = _pair_min_over(cand_verts, D, (vi - 1) % m, vi)
-        if cand_clear >= cfg.clearance_floor:
+        # objective accepted the move; the clearance floor has the veto.
+        # Pairs away from the two moved edges are unchanged and cleared the
+        # floor when their state was accepted, so only the moved ones count.
+        if _moved_clearance(cand_verts, vi) >= cfg.clearance_floor:
             verts = cand_verts
-            D = Dnew
             cur_obj = cand_obj
-            cur_clear = cand_clear
             if cur_obj < best_obj:
                 best_obj = cur_obj
                 best_verts = verts.copy()
         T *= cfg.cooling
-        if it % 100 == 0:
-            log_rows.append((it, best_obj, cur_clear))
+        if it % 100 == 0 and log_path is not None:
+            log_rows.append((it, best_obj, min_clearance(build_polycurve(verts))))
 
     if log_path is not None:
         with open(log_path, "w") as fh:

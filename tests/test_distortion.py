@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import jittered_polygon, random_rotation, regular_polygon
+from kdl import distortion
 from kdl.distortion import (
     cell_upper_bound,
     corner_ratio,
@@ -90,6 +91,19 @@ def test_max_pair_ratio_open_right_angle():
     r, i, j = max_pair_ratio_open([[1, 0, 0], [0, 0, 0], [0, 1, 0]])
     assert r == pytest.approx(math.sqrt(2.0))
     assert (i, j) == (0, 2)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 37])
+def test_pair_blocks_cover_triangle_once(monkeypatch, n, k):
+    # a small chunk splits the triangle into several blocks of rows
+    monkeypatch.setattr(distortion, "_CHUNK", 50)
+    blocks = list(distortion._pair_blocks(n, k))
+    if n > 20:
+        assert len(blocks) > 1
+    got = [(int(i), int(j)) for ii, jj in blocks for i, j in zip(ii, jj)]
+    want = [(i, j) for i in range(n) for j in range(i + k, n)]
+    assert got == want
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from kdl.errors import InvalidSpec, NotAKnot
 from kdl.geom import curve_from_json, curve_to_json, min_clearance
 from kdl.plat import (
     ArcTag,
-    HelixParams,
     PlatSpec,
     arc_polyline,
     build_plat,
@@ -148,22 +147,6 @@ def test_component_count_matches_oracle(seed):
     }
     s2 = PlatSpec(b, n, counts)
     assert component_count(s2) == component_count_oracle(s2)
-
-
-# ---------------------------------------------------------------------------
-# helix pieces
-
-def test_helix_params_for_count():
-    h = HelixParams.for_count(3)
-    assert h.radius == 0.5
-    assert h.half_twists == 3
-    assert h.x_max == pytest.approx(6 * math.pi)
-    p0 = h.point(0.0)
-    assert p0 == pytest.approx((0.5, 0.0, 0.0))
-    pend = h.point(h.x_max)
-    assert pend[0] == pytest.approx(-0.5)  # odd count lands opposite
-    assert pend[2] == pytest.approx(1.0)  # unit climb overall
-    assert h.arc_length() == pytest.approx(helix_ratio_bound(3))
 
 
 # ---------------------------------------------------------------------------
