@@ -17,6 +17,7 @@ Conventions
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -285,58 +286,78 @@ def segment_min_distance(a0, a1, b0, b1) -> float:
     )
 
 
+def _distinct(x: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of an int64 array.  np.unique hashes integer
+    input, which is some 30x slower on widely spread keys than a sort."""
+    x = np.sort(x)
+    return x[np.diff(x, prepend=x[:1] - 1) != 0]
+
+
+# (0, 0, 0) and one of each +-pair of the 26 neighbour offsets: stepping
+# from every bin by these meets each unordered pair of touching bins once.
+_HALF_OFFSETS = np.array([o for o in itertools.product((-1, 0, 1), repeat=3) if o >= (0, 0, 0)])
+
+
 def _min_clearance_pair(c: PolyCurve):
     """Exact clearance and the edge pair attaining it, (d, i, j) with i < j;
-    (inf, -1, -1) when no two edges are vertex-disjoint.
+    (inf, -1, -1) when no two edges are vertex-disjoint.  Among pairs at
+    exactly the minimum distance, the lexicographically smallest (i, j)
+    is returned.
 
-    Bins edge midpoints on a grid whose cell size is a proven upper bound
-    for the answer plus edge radii, so the closest eligible pair is always
-    within one 27-neighbourhood."""
+    Every edge is split, for binning only, into ceil(len / h) equal pieces
+    with h = L / m; since the lengths sum to L that makes fewer than 2m
+    pieces, none longer than h.  Piece midpoints are binned on a grid of
+    cell u0 + h_max (h_max the longest piece), where u0, the smallest
+    distance between edges i and i + 2, bounds the answer from above.  If
+    edges i and j are d* <= u0 apart, at points p and q, the pieces holding
+    p and q have midpoints at most d* + h_max apart (each midpoint lies
+    within half its piece of p or q), so they sit in touching bins and the
+    pair is a candidate; a margin of 1e-12 * (1 + the largest |coordinate|)
+    covers rounding in the midpoints.  Each candidate is measured as
+    (V[i], V[j]) with i < j, the call an all-pairs scan makes, so the
+    distance is the all-pairs minimum bit for bit.  Candidates are expanded
+    from bin pairs, and measured, in blocks of at most ``chunk`` pairs."""
     m = c.m
     V = c.vertices
     D = c.edge_lens[:, None] * c.edge_dirs
-    mids = V + 0.5 * D
-    half = 0.5 * c.edge_lens
-    idx = np.arange(m)
-    skip = (idx + 2) % m
-    upper = _seg_seg_dist(V, D, V[skip], D[skip])
-    u0 = float(upper.min())
-    cell = u0 + 2.0 * float(half.max()) + 1e-12
-    keys = np.floor(mids / cell).astype(np.int64)
-    order = np.lexsort((keys[:, 2], keys[:, 1], keys[:, 0]))
-    sk = keys[order]
-    bounds = np.nonzero(np.any(sk[1:] != sk[:-1], axis=1))[0] + 1
-    starts = np.concatenate(([0], bounds))
-    ends = np.concatenate((bounds, [m]))
-    bins = {}
-    for s0, e0 in zip(starts, ends):
-        bins[tuple(sk[s0])] = order[s0:e0]
-    offsets = [
-        (dx, dy, dz)
-        for dx in (-1, 0, 1)
-        for dy in (-1, 0, 1)
-        for dz in (-1, 0, 1)
-    ]
-    cand_i, cand_j = [], []
-    for key, members in bins.items():
-        gathered = []
-        for off in offsets:
-            nb = bins.get((key[0] + off[0], key[1] + off[1], key[2] + off[2]))
-            if nb is not None:
-                gathered.append(nb)
-        others = np.concatenate(gathered)
-        ii = np.repeat(members, len(others))
-        jj = np.tile(others, len(members))
-        m1 = jj > ii
-        cand_i.append(ii[m1])
-        cand_j.append(jj[m1])
-    ii = np.concatenate(cand_i)
-    jj = np.concatenate(cand_j)
-    keep = (jj > ii + 1) & ~((ii == 0) & (jj == m - 1))
-    ii, jj = ii[keep], jj[keep]
+    skip = (np.arange(m) + 2) % m
+    u0 = float(_seg_seg_dist(V, D, V[skip], D[skip]).min())
+    pieces = np.maximum(np.ceil(c.edge_lens * (m / c.total_len)), 1).astype(np.int64)
+    own = np.repeat(np.arange(m), pieces)
+    rank = np.arange(len(own)) - (np.cumsum(pieces) - pieces)[own]
+    mids = V[own] + ((rank + 0.5) / pieces[own])[:, None] * D[own]
+    h_max = float((c.edge_lens / pieces).max())
+    cell = u0 + h_max + 1e-12 * (1.0 + float(np.abs(V).max()))
+    # bin indices start at 1 and the key space has one spare bin on each
+    # side, so a neighbour's key never wraps onto another bin
+    keys = np.floor((mids - mids.min(axis=0)) / cell).astype(np.int64) + 1
+    dims = keys.max(axis=0) + 2
+    stride = np.array([dims[1] * dims[2], dims[2], 1])
+    code = keys @ stride
+    order = np.argsort(code)
+    bins, starts, counts = np.unique(code[order], return_index=True, return_counts=True)
+    target = bins[:, None] + (_HALF_OFFSETS @ stride)[None, :]
+    pos = np.minimum(np.searchsorted(bins, target), len(bins) - 1)
+    bin_a, col = np.nonzero(bins[pos] == target)
+    bin_b = pos[bin_a, col]
+    sizes = counts[bin_a] * counts[bin_b]
+    ends = np.cumsum(sizes)
+    chunk = 2_000_000
+    found = [np.empty(0, dtype=np.int64)]
+    for lo in range(0, int(ends[-1]), chunk):
+        flat = np.arange(lo, min(lo + chunk, ends[-1]))
+        k = np.searchsorted(ends, flat, side="right")
+        local = flat - (ends[k] - sizes[k])
+        width = counts[bin_b[k]]
+        ea = own[order[starts[bin_a[k]] + local // width]]
+        eb = own[order[starts[bin_b[k]] + local % width]]
+        ii, jj = np.minimum(ea, eb), np.maximum(ea, eb)
+        keep = (jj > ii + 1) & ~((ii == 0) & (jj == m - 1))
+        found.append(_distinct(ii[keep] * m + jj[keep]))
+    pairs = _distinct(np.concatenate(found))
+    ii, jj = pairs // m, pairs % m
     best = math.inf
     bi = bj = -1
-    chunk = 2_000_000
     for lo in range(0, len(ii), chunk):
         a, b = ii[lo : lo + chunk], jj[lo : lo + chunk]
         d = _seg_seg_dist(V[a], D[a], V[b], D[b])

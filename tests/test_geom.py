@@ -24,6 +24,7 @@ from kdl.geom import (
     wrap_param,
 )
 from kdl.geom import _min_clearance_pair, _seg_seg_dist
+from kdl.plat import build_plat, make_uniform_jm_spec
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +253,9 @@ def test_segment_distance_vs_oracle(seed):
 
 def test_clearance_square(square):
     assert min_clearance(square) == pytest.approx(1.0)
+    # both opposite pairs tie at exactly 1; the smaller pair is named
+    assert _min_clearance_pair(square) == (1.0, 0, 2)
+    assert clearance_all_pairs(square) == (1.0, 0, 2)
 
 
 def test_clearance_hexagon(hexagon):
@@ -277,28 +281,66 @@ def test_clearance_figure_eight_is_zero():
 
 
 def clearance_all_pairs(c):
-    """(d, i, j): the closest vertex-disjoint edge pair by scanning them all."""
-    m = c.m
-    iu, ju = np.triu_indices(m, k=2)
-    keep = ~((iu == 0) & (ju == m - 1))
-    iu, ju = iu[keep], ju[keep]
+    """(d, i, j): the closest vertex-disjoint edge pair by scanning them all,
+    256 edges i at a time; the first minimum in row-major order wins."""
+    m, rows = c.m, 256
     D = c.edge_lens[:, None] * c.edge_dirs
-    d = _seg_seg_dist(c.vertices[iu], D[iu], c.vertices[ju], D[ju])
-    k = int(np.argmin(d))
-    return float(d[k]), int(iu[k]), int(ju[k])
+    best = (math.inf, -1, -1)
+    for r0 in range(0, m, rows):
+        iu = np.repeat(np.arange(r0, min(r0 + rows, m)), m)
+        ju = np.tile(np.arange(m), min(rows, m - r0))
+        keep = (ju >= iu + 2) & ~((iu == 0) & (ju == m - 1))
+        iu, ju = iu[keep], ju[keep]
+        if len(iu) == 0:
+            continue
+        d = _seg_seg_dist(c.vertices[iu], D[iu], c.vertices[ju], D[ju])
+        k = int(np.argmin(d))
+        if d[k] < best[0]:
+            best = (float(d[k]), int(iu[k]), int(ju[k]))
+    return best
+
+
+def assert_clearance_matches_all_pairs(c):
+    assert _min_clearance_pair(c) == clearance_all_pairs(c)
 
 
 @pytest.mark.parametrize("m", [4, 5, 40, 900])
 def test_clearance_grid_matches_brute(m):
-    verts = jittered_polygon(m, seed=11, amp=0.2)
-    c = build_polycurve(verts)
-    d_grid, gi, gj = _min_clearance_pair(c)
-    d_brute, bi, bj = clearance_all_pairs(c)
-    assert d_grid == d_brute
-    if m == 900:
-        # the two scans may name different pairs of an exact tie; this
-        # polygon has none
-        assert (gi, gj) == (bi, bj)
+    assert_clearance_matches_all_pairs(build_polycurve(jittered_polygon(m, seed=11, amp=0.2)))
+
+
+def test_clearance_skewed_edge_lengths():
+    # a 2000-gon keeping every vertex on one half and every 20th on the
+    # other: the long edges are 20x the median and cut into binning pieces
+    verts = jittered_polygon(2000, seed=3, amp=0.2)
+    c = build_polycurve(np.concatenate([verts[:1000], verts[1000::20]]))
+    assert c.edge_lens.max() > 3.0 * np.median(c.edge_lens)
+    assert_clearance_matches_all_pairs(c)
+
+
+def test_clearance_mixed_huge_and_tiny_edges():
+    # a triangle of ~1e3 sides whose corners are zigzags of 1e-3 edges
+    # climbing out of the plane: the long edges are cut into ~40 binning
+    # pieces each, close to the 2m bound on the piece count
+    corners = np.array([[0.0, 0.0, 0.0], [1000.0, 0.0, 0.0], [500.0, 800.0, 0.0]])
+    step = 1e-3 / math.sqrt(3.0)
+    zig = np.array([[step * (k % 2), step * (k % 2), step * k] for k in range(41)])
+    c = build_polycurve(np.concatenate([p + zig for p in corners]))
+    assert c.edge_lens.min() == pytest.approx(1e-3) and c.edge_lens.max() > 0.9e3
+    assert_clearance_matches_all_pairs(c)
+
+
+def test_clearance_far_from_origin():
+    verts = jittered_polygon(200, seed=0)
+    far = build_polycurve(verts + np.array([1e8, -1e8, 1e8]))
+    # rounding the coordinates at 1e8 alone moves the clearance by ~7e-8 (rel)
+    assert min_clearance(far) == pytest.approx(min_clearance(build_polycurve(verts)), rel=1e-5)
+    assert_clearance_matches_all_pairs(far)
+
+
+def test_clearance_b3_plat_matches_all_pairs():
+    # m = 3182: about 5 M edge pairs, which the reference scans in row blocks
+    assert_clearance_matches_all_pairs(build_plat(make_uniform_jm_spec(3, 13, 3)))
 
 
 def test_clearance_matches_scalar_oracle():
