@@ -24,12 +24,10 @@ import sys
 import time
 
 from .bounds import make_report
-from .distortion import distortion_certified, distortion_sampled
+from .distortion import _MAX_EXPANSIONS, distortion_certified, distortion_sampled
 from .errors import KdlError
 from .geom import PolyCurve, curve_from_json, save_curve
 from .plat import build_plat, make_uniform_jm_spec, run_claim_checks
-
-_DEFAULT_BUDGET = 5_000_000
 
 
 def _budget(flag_value: int | None) -> int:
@@ -41,7 +39,7 @@ def _budget(flag_value: int | None) -> int:
             raise KdlError(f"KDL_BUDGET must be an integer, got {env!r}")
     if flag_value is not None:
         return flag_value
-    return _DEFAULT_BUDGET
+    return _MAX_EXPANSIONS
 
 
 def _load_curve(path: str) -> PolyCurve:

@@ -33,7 +33,9 @@ from .geom import (
     _dot,
     _interior_angles,
     _min_clearance_pair,
+    _near_edge_pairs,
     _points_at,
+    _row_blocks,
     _seg_seg_dist,
 )
 
@@ -48,8 +50,8 @@ __all__ = [
     "max_pair_ratio_open",
 ]
 
-_CHUNK = 2_000_000
 _CHORD_FLOOR = 1e-12
+_MAX_EXPANSIONS = 5_000_000  # default bisection cap, the CLI's too
 
 
 @dataclass(frozen=True)
@@ -70,7 +72,9 @@ class DistortionCertificate:
 
     ``lo`` is achieved by ``witness``; ``hi`` is a rigorous upper bound
     for the supremum.  ``cells`` counts every cell whose upper bound was
-    evaluated (initial grid plus all bisection children).  When
+    evaluated: the candidate edge pairs of the initial grid plus all
+    bisection children.  Edge pairs too far apart to beat ``lo + eps``
+    are ruled out before any bound is taken and are not counted.  When
     ``budget_exceeded`` is set the interval is still valid but may be
     wider than ``eps``.
     """
@@ -146,32 +150,14 @@ def _pair_ratios(c: PolyCurve, s: np.ndarray, t: np.ndarray) -> np.ndarray:
     return _ratios(_points_at(c, s), _points_at(c, t), s, t, c.total_len)
 
 
-def _pair_blocks(n: int, k: int):
-    """Index blocks (i, j) covering the triangle j >= i + k in row-major
-    order, at most ~_CHUNK pairs per block.
-
-    Never materializes the full pair list: for tens of thousands of
-    parameters the n^2/2 index pair array alone would not fit in memory.
-    """
-    rows = max(1, _CHUNK // max(n, 1))
-    for r0 in range(0, max(n - k, 0), rows):
-        i = np.arange(r0, min(r0 + rows, n - k))
-        lens = n - k - i
-        ii = np.repeat(i, lens)
-        # j runs from i + k within each row: a flat counter minus the
-        # row's start in the block, shifted to i + k
-        starts = np.cumsum(lens) - lens
-        jj = np.arange(len(ii)) + np.repeat(i + k - starts, lens)
-        yield ii, jj
-
-
 def _max_ratio(points: np.ndarray, params: np.ndarray, L: float):
     """Largest ratio over all pairs i < j of points at params on a loop of
     length L (inf for an open polyline).  Returns (ratio, i, j), the
     first maximal pair in row-major order; ratio is -1 for fewer than
     two points."""
     best, bi, bj = -1.0, 0, 0
-    for ii, jj in _pair_blocks(len(points), 1):
+    i = np.arange(max(len(points) - 1, 0))
+    for ii, jj in _row_blocks(i, i + 1, len(points) - 1 - i):
         r = _ratios(points[ii], points[jj], params[ii], params[jj], L)
         k = int(np.argmax(r))
         if r[k] > best:
@@ -320,13 +306,14 @@ def _corner_sup(c: PolyCurve) -> float:
 
 
 def distortion_certified(
-    c: PolyCurve, eps: float = 1e-2, max_expansions: int = 5_000_000
+    c: PolyCurve, eps: float = 1e-2, max_expansions: int = _MAX_EXPANSIONS
 ) -> DistortionCertificate:
     """Interval certification of the distortion by branch and bound.
 
-    The initial cells are all unordered pairs of edges sharing no vertex,
+    The initial cells are the unordered pairs of edges sharing no vertex,
     each taken as a full parameter rectangle.  A cell whose upper bound
-    is at most lo + eps is discarded; survivors are bisected along their
+    is at most lo + eps is discarded, as is, unevaluated, every pair more
+    than (L/2) / (lo + eps) apart.  Survivors are bisected along their
     longer parameter side, and the fresh corner/midpoint pairs feed the
     sampled lower bound.  On normal termination the reported interval is
     [lo, max(lo + eps, analytic corner sup)], which always contains the
@@ -346,36 +333,31 @@ def distortion_certified(
         raise NotEmbedded(
             f"edges {ci} and {cj} touch or cross; distortion is unbounded"
         )
-    m, L = c.m, c.total_len
+    L = c.total_len
 
     lo, ws, wt = _initial_vertex_scan(c)
     corner_hi = _corner_sup(c)
     floor_pruned_hi = 0.0
 
-    # initial cell grid: unordered non-adjacent edge pairs, chunked
-    cells = None
+    # initial cell grid: a cell's numerator is at most L/2, so edges more
+    # than reach apart give u <= lo + eps.  The relative margin covers
+    # rounding in num / den, the absolute one coordinates far from 0
+    reach = 0.5 * L / (lo + eps)
+    reach += 1e-9 * reach + 1e-12 * (1.0 + float(np.abs(c.vertices).max()))
+    survivors = [(np.empty(0, dtype=np.int64),) * 2 + (np.empty(0),)]
     cells_seen = 0
-    if m >= 4:
-        survivors = []
-        for ii, jj in _pair_blocks(m, 2):
-            wrap = (ii == 0) & (jj == m - 1)  # adjacent through the seam
-            if wrap.any():
-                ii, jj = ii[~wrap], jj[~wrap]
-            cells_seen += len(ii)
-            s0 = c.cum_len[ii]
-            s1 = c.cum_len[ii + 1]
-            t0 = c.cum_len[jj]
-            t1 = c.cum_len[jj + 1]
-            u = _cell_upper(c, ii, jj, s0, s1, t0, t1)
-            alive = u > lo + eps
-            survivors.append(
-                (ii[alive], jj[alive], s0[alive], s1[alive], t0[alive], t1[alive], u[alive])
-            )
-        cells = tuple(np.concatenate(parts) for parts in zip(*survivors))
+    for ii, jj in _near_edge_pairs(c, reach):
+        cells_seen += len(ii)
+        u = _cell_upper(c, ii, jj, c.cum_len[ii], c.cum_len[ii + 1], c.cum_len[jj], c.cum_len[jj + 1])
+        survivors.append(tuple(a[u > lo + eps] for a in (ii, jj, u)))
+    ii, jj, u = (np.concatenate(parts) for parts in zip(*survivors))
+    k = np.lexsort((jj, ii))  # bisection takes the cells in row-major order
+    ii, jj, u = ii[k], jj[k], u[k]
+    cells = (ii, jj, c.cum_len[ii], c.cum_len[ii + 1], c.cum_len[jj], c.cum_len[jj + 1], u)
 
     expansions = 0
     budget_exceeded = False
-    while cells is not None and len(cells[0]) > 0:
+    while len(cells[0]) > 0:
         ei, ej, s0, s1, t0, t1, _u = cells
         n = len(ei)
         if expansions + n > max_expansions:
@@ -438,7 +420,7 @@ def distortion_certified(
         )
 
     hi = max(lo + eps, corner_hi, floor_pruned_hi)
-    if budget_exceeded and cells is not None and len(cells[0]) > 0:
+    if budget_exceeded:
         hi = max(hi, float(cells[6].max()))
     witness = WitnessPair(s=ws, t=wt, ratio=lo)
     return DistortionCertificate(

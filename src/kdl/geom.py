@@ -296,38 +296,49 @@ def _distinct(x: np.ndarray) -> np.ndarray:
 # (0, 0, 0) and one of each +-pair of the 26 neighbour offsets: stepping
 # from every bin by these meets each unordered pair of touching bins once.
 _HALF_OFFSETS = np.array([o for o in itertools.product((-1, 0, 1), repeat=3) if o >= (0, 0, 0)])
+_CHUNK = 2_000_000  # pairs per block in every chunked pair scan
 
 
-def _min_clearance_pair(c: PolyCurve):
-    """Exact clearance and the edge pair attaining it, (d, i, j) with i < j;
-    (inf, -1, -1) when no two edges are vertex-disjoint.  Among pairs at
-    exactly the minimum distance, the lexicographically smallest (i, j)
-    is returned.
+def _row_blocks(x: np.ndarray, first: np.ndarray, lens: np.ndarray):
+    """Index blocks (i, j) in which row k pairs x[k] with first[k], ...,
+    first[k] + lens[k] - 1.  A block holds _CHUNK // (longest row) whole
+    rows, at least one, in order, so pairs come in row-major order."""
+    rows = max(1, _CHUNK // max(int(lens.max(initial=0)), 1))
+    for r0 in range(0, len(x), rows):
+        n = lens[r0 : r0 + rows]
+        # j: a flat counter minus the row's start in the block, plus first[k]
+        yield np.repeat(x[r0 : r0 + rows], n), np.arange(n.sum()) + np.repeat(
+            first[r0 : r0 + rows] - (np.cumsum(n) - n), n
+        )
+
+
+def _near_edge_pairs(c: PolyCurve, r: float):
+    """Blocks (i, j) of vertex-disjoint edge pairs, i < j, each pair once,
+    that include every pair at most r apart (a uniform spatial hash;
+    Teschner et al. 2003).
 
     Every edge is split, for binning only, into ceil(len / h) equal pieces
-    with h = L / m; since the lengths sum to L that makes fewer than 2m
-    pieces, none longer than h.  Piece midpoints are binned on a grid of
-    cell u0 + h_max (h_max the longest piece), where u0, the smallest
-    distance between edges i and i + 2, bounds the answer from above.  If
-    edges i and j are d* <= u0 apart, at points p and q, the pieces holding
-    p and q have midpoints at most d* + h_max apart (each midpoint lies
-    within half its piece of p or q), so they sit in touching bins and the
-    pair is a candidate; a margin of 1e-12 * (1 + the largest |coordinate|)
-    covers rounding in the midpoints.  Each candidate is measured as
-    (V[i], V[j]) with i < j, the call an all-pairs scan makes, so the
-    distance is the all-pairs minimum bit for bit.  Candidates are expanded
-    from bin pairs, and measured, in blocks of at most ``chunk`` pairs."""
+    with h = max(L / m, r); since the lengths sum to L that makes fewer
+    than 2m pieces, none longer than h.  Piece midpoints are binned on a
+    grid of cell r + h_max (h_max the longest piece).  If edges i and j
+    are d <= r apart, at points p and q, the pieces holding p and q have
+    midpoints at most d + h_max apart (each midpoint lies within half its
+    piece of p or q), so they sit in touching bins and the pair is a
+    candidate; a margin of 1e-12 * (1 + the largest |coordinate|) covers
+    rounding in the midpoints.  Piece pairs are expanded from bin pairs
+    in row blocks, mapped to their owner edges, and adjacent and seam
+    pairs dropped; an edge cut into several pieces can meet another edge
+    through several piece pairs, so when any edge was cut the pairs are
+    deduplicated and come sorted by (i, j)."""
     m = c.m
     V = c.vertices
     D = c.edge_lens[:, None] * c.edge_dirs
-    skip = (np.arange(m) + 2) % m
-    u0 = float(_seg_seg_dist(V, D, V[skip], D[skip]).min())
-    pieces = np.maximum(np.ceil(c.edge_lens * (m / c.total_len)), 1).astype(np.int64)
+    pieces = np.maximum(np.ceil(c.edge_lens / max(c.total_len / m, r)), 1).astype(np.int64)
     own = np.repeat(np.arange(m), pieces)
     rank = np.arange(len(own)) - (np.cumsum(pieces) - pieces)[own]
     mids = V[own] + ((rank + 0.5) / pieces[own])[:, None] * D[own]
     h_max = float((c.edge_lens / pieces).max())
-    cell = u0 + h_max + 1e-12 * (1.0 + float(np.abs(V).max()))
+    cell = r + h_max + 1e-12 * (1.0 + float(np.abs(V).max()))
     # bin indices start at 1 and the key space has one spare bin on each
     # side, so a neighbour's key never wraps onto another bin
     keys = np.floor((mids - mids.min(axis=0)) / cell).astype(np.int64) + 1
@@ -340,32 +351,50 @@ def _min_clearance_pair(c: PolyCurve):
     pos = np.minimum(np.searchsorted(bins, target), len(bins) - 1)
     bin_a, col = np.nonzero(bins[pos] == target)
     bin_b = pos[bin_a, col]
-    sizes = counts[bin_a] * counts[bin_b]
-    ends = np.cumsum(sizes)
-    chunk = 2_000_000
-    found = [np.empty(0, dtype=np.int64)]
-    for lo in range(0, int(ends[-1]), chunk):
-        flat = np.arange(lo, min(lo + chunk, ends[-1]))
-        k = np.searchsorted(ends, flat, side="right")
-        local = flat - (ends[k] - sizes[k])
-        width = counts[bin_b[k]]
-        ea = own[order[starts[bin_a[k]] + local // width]]
-        eb = own[order[starts[bin_b[k]] + local % width]]
-        ii, jj = np.minimum(ea, eb), np.maximum(ea, eb)
-        keep = (jj > ii + 1) & ~((ii == 0) & (jj == m - 1))
-        found.append(_distinct(ii[keep] * m + jj[keep]))
-    pairs = _distinct(np.concatenate(found))
-    ii, jj = pairs // m, pairs % m
-    best = math.inf
-    bi = bj = -1
-    for lo in range(0, len(ii), chunk):
-        a, b = ii[lo : lo + chunk], jj[lo : lo + chunk]
-        d = _seg_seg_dist(V[a], D[a], V[b], D[b])
-        k = int(np.argmin(d))
-        if d[k] < best:
-            best = float(d[k])
-            bi, bj = int(a[k]), int(b[k])
-    return best, bi, bj
+    # one row per member x of bin a, over bin b, or over the members
+    # after x when b is a itself; x and the rows index the sorted pieces
+    rows = _row_blocks(np.arange(len(bin_a)), starts[bin_a], counts[bin_a])
+    p, x = (np.concatenate(part) for part in zip(*rows))
+    b = bin_b[p]
+    first = np.where(bin_a[p] == b, x + 1, starts[b])
+    lens = starts[b] + counts[b] - first
+
+    def owner_pairs(block):
+        ea, eb = own[order[block[0]]], own[order[block[1]]]
+        i, j = np.minimum(ea, eb), np.maximum(ea, eb)
+        keep = (j > i + 1) & ~((i == 0) & (j == m - 1))
+        return i[keep], j[keep]
+
+    # map drops each piece block once its owner pairs are out
+    blocks = map(owner_pairs, _row_blocks(x, first, lens))
+    if len(own) > m:
+        pairs = _distinct(np.concatenate([_distinct(i * m + j) for i, j in blocks]))
+        blocks = (divmod(pairs[k : k + _CHUNK], m) for k in range(0, len(pairs), _CHUNK))
+    yield from (blk for blk in blocks if len(blk[0]))
+
+
+def _min_clearance_pair(c: PolyCurve):
+    """Exact clearance and the edge pair attaining it, (d, i, j) with i < j;
+    (inf, -1, -1) when no two edges are vertex-disjoint.  Among pairs at
+    exactly the minimum distance, the lexicographically smallest (i, j)
+    is returned.
+
+    u0, the smallest distance between edges i and i + 2, bounds the answer,
+    so the pairs within u0 hold every closest pair.  Each is measured as
+    (V[i], V[j]) with i < j, the call an all-pairs scan makes, so the
+    distance is the all-pairs minimum bit for bit."""
+    m = c.m
+    V = c.vertices
+    D = c.edge_lens[:, None] * c.edge_dirs
+    skip = (np.arange(m) + 2) % m
+    u0 = float(_seg_seg_dist(V, D, V[skip], D[skip]).min())
+    best = (math.inf, -1, -1)
+    for i, j in _near_edge_pairs(c, u0):
+        d = _seg_seg_dist(V[i], D[i], V[j], D[j])
+        k = np.flatnonzero(d == d.min())
+        k = k[np.argmin(i[k] * m + j[k])]
+        best = min(best, (float(d[k]), int(i[k]), int(j[k])))
+    return best
 
 
 def min_clearance(c: PolyCurve) -> float:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import jittered_polygon, random_rotation, regular_polygon
-from kdl import distortion
+from kdl import distortion, geom
 from kdl.distortion import (
     cell_upper_bound,
     corner_ratio,
@@ -17,6 +17,7 @@ from kdl.distortion import (
 )
 from kdl.errors import DegenerateCurve, NotEmbedded, OutOfRange
 from kdl.geom import arclength_distance, build_polycurve, chord_distance
+from kdl.plat import build_plat, make_uniform_jm_spec
 
 
 # ---------------------------------------------------------------------------
@@ -93,17 +94,34 @@ def test_max_pair_ratio_open_right_angle():
     assert (i, j) == (0, 2)
 
 
+def block_pairs(blocks):
+    return [(int(i), int(j)) for ii, jj in blocks for i, j in zip(ii, jj)]
+
+
 @pytest.mark.parametrize("k", [1, 2])
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 37])
 def test_pair_blocks_cover_triangle_once(monkeypatch, n, k):
-    # a small chunk splits the triangle into several blocks of rows
-    monkeypatch.setattr(distortion, "_CHUNK", 50)
-    blocks = list(distortion._pair_blocks(n, k))
+    # the triangle j >= i + k as rows (i, i + k, n - k - i); a small chunk
+    # splits it into several blocks of rows
+    monkeypatch.setattr(geom, "_CHUNK", 50)
+    i = np.arange(max(n - k, 0))
+    blocks = list(geom._row_blocks(i, i + k, n - k - i))
     if n > 20:
         assert len(blocks) > 1
-    got = [(int(i), int(j)) for ii, jj in blocks for i, j in zip(ii, jj)]
     want = [(i, j) for i in range(n) for j in range(i + k, n)]
-    assert got == want
+    assert block_pairs(blocks) == want
+
+
+def test_row_blocks_ragged_rows(monkeypatch):
+    # rows of 3, 0, 4, 0, 2 and 5 pairs: 10 // 5 = 2 whole rows a block
+    monkeypatch.setattr(geom, "_CHUNK", 10)
+    x = np.array([7, 3, 3, 0, 9, 4])
+    first = np.array([0, 5, 2, 8, 1, 6])
+    lens = np.array([3, 0, 4, 0, 2, 5])
+    blocks = list(geom._row_blocks(x, first, lens))
+    assert [len(ii) for ii, _ in blocks] == [3, 4, 7]
+    want = [(int(a), int(f) + t) for a, f, n in zip(x, first, lens) for t in range(n)]
+    assert block_pairs(blocks) == want
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +277,72 @@ def test_certified_similarity_invariance_quick():
     b = distortion_certified(build_polycurve(moved), eps=0.05)
     assert b.lo == pytest.approx(a.lo, rel=1e-9)
     assert b.hi == pytest.approx(a.hi, rel=1e-9)
+
+
+def all_pairs_grid(c):
+    """The vertex scan's lo and the cell bound of every vertex-disjoint
+    edge pair, the initial grid of distortion_certified before it took
+    only near pairs."""
+    m = c.m
+    ii, jj = np.triu_indices(m, 2)
+    keep = ~((ii == 0) & (jj == m - 1))
+    ii, jj = ii[keep], jj[keep]
+    cum = c.cum_len
+    u = distortion._cell_upper(c, ii, jj, cum[ii], cum[ii + 1], cum[jj], cum[jj + 1])
+    return distortion._initial_vertex_scan(c)[0], u
+
+
+def thin_loop(n, width, seed):
+    """A loop around a 10 x width rectangle, n vertices a long side, with
+    out-of-plane noise: distortion about 10 / width, so only pairs about
+    width apart can beat it."""
+    rng = np.random.default_rng(seed)
+    side = np.stack([np.linspace(0.0, 10.0, n), np.zeros(n), np.zeros(n)], axis=1)
+    loop = np.concatenate([side[::-1] + [0.0, width, 0.0], side])
+    return loop + 0.02 * width * rng.normal(size=loop.shape)
+
+
+@pytest.mark.parametrize(
+    "verts, prunes",
+    [
+        (jittered_polygon(10, seed=8), False),
+        (jittered_polygon(40, seed=5, amp=0.3), False),
+        (regular_polygon(64) + 0.01 * np.random.default_rng(2).normal(size=(64, 3)), False),
+        (thin_loop(30, 0.1, 0), True),
+        (thin_loop(30, 0.1, 0) + np.array([1e8, -1e8, 1e8]), True),
+        (thin_loop(50, 0.05, 1), True),
+    ],
+    ids=["jitter10", "jitter40", "round64", "thin", "thin-far", "thin-narrow"],
+)
+@pytest.mark.parametrize("eps", [0.05, 1e-3])
+def test_certified_grid_matches_all_pairs(verts, prunes, eps):
+    # the initial grid evaluates only the edge pairs near enough to beat
+    # lo + eps; stopped before any bisection, the certificate must equal
+    # one built from every pair
+    c = build_polycurve(verts)
+    lo, u = all_pairs_grid(c)
+    alive = int((u > lo + eps).sum())
+    hi = max(lo + eps, distortion._corner_sup(c), float(u.max()))
+    cert = distortion_certified(c, eps=eps, max_expansions=0)
+    assert (cert.lo, cert.hi, cert.budget_exceeded) == (lo, hi, alive > 0)
+    # the grid keeps exactly the cells all pairs keep: a budget of one
+    # fewer stops before the first bisection round, a budget of them runs it
+    assert distortion_certified(c, eps=eps, max_expansions=alive - 1).cells == cert.cells
+    assert distortion_certified(c, eps=eps, max_expansions=alive).cells == cert.cells + 2 * alive
+    # the thin loops leave most pairs unevaluated
+    assert (cert.cells < len(u) / 4) if prunes else (cert.cells == len(u))
+
+
+def test_certified_b3_plat_frozen():
+    # values of the all-pairs grid, before the grid took only near pairs
+    c = build_plat(make_uniform_jm_spec(3, 13, 3))
+    cert = distortion_certified(c, eps=0.05)
+    assert (cert.lo, cert.hi) == (441.18707873892134, 441.23707873892135)
+    assert (cert.witness.s, cert.witness.t) == (124.58095769649796, 311.96488948471546)
+    assert not cert.budget_exceeded
+    grid = distortion_certified(c, eps=0.05, max_expansions=0)
+    assert (grid.lo, grid.hi) == (439.31182606585685, 444.34797782348477)
+    assert grid.budget_exceeded
 
 
 def test_certified_helix_with_return_path():

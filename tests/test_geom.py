@@ -23,7 +23,7 @@ from kdl.geom import (
     segment_min_distance,
     wrap_param,
 )
-from kdl.geom import _min_clearance_pair, _seg_seg_dist
+from kdl.geom import _min_clearance_pair, _near_edge_pairs, _seg_seg_dist
 from kdl.plat import build_plat, make_uniform_jm_spec
 
 
@@ -255,7 +255,7 @@ def test_clearance_square(square):
     assert min_clearance(square) == pytest.approx(1.0)
     # both opposite pairs tie at exactly 1; the smaller pair is named
     assert _min_clearance_pair(square) == (1.0, 0, 2)
-    assert clearance_all_pairs(square) == (1.0, 0, 2)
+    assert clearance_all_pairs(square)[0] == (1.0, 0, 2)
 
 
 def test_clearance_hexagon(hexagon):
@@ -281,11 +281,13 @@ def test_clearance_figure_eight_is_zero():
 
 
 def clearance_all_pairs(c):
-    """(d, i, j): the closest vertex-disjoint edge pair by scanning them all,
-    256 edges i at a time; the first minimum in row-major order wins."""
+    """((d, i, j), (iu, ju, dist)): the closest vertex-disjoint edge pair by
+    scanning them all, 256 edges i at a time, where the first minimum in
+    row-major order wins; and every such pair iu < ju with its distance."""
     m, rows = c.m, 256
     D = c.edge_lens[:, None] * c.edge_dirs
     best = (math.inf, -1, -1)
+    scan = [(np.empty(0, dtype=np.int64),) * 2 + (np.empty(0),)]
     for r0 in range(0, m, rows):
         iu = np.repeat(np.arange(r0, min(r0 + rows, m)), m)
         ju = np.tile(np.arange(m), min(rows, m - r0))
@@ -294,14 +296,35 @@ def clearance_all_pairs(c):
         if len(iu) == 0:
             continue
         d = _seg_seg_dist(c.vertices[iu], D[iu], c.vertices[ju], D[ju])
+        scan.append((iu, ju, d))
         k = int(np.argmin(d))
         if d[k] < best[0]:
             best = (float(d[k]), int(iu[k]), int(ju[k]))
-    return best
+    return best, tuple(np.concatenate(a) for a in zip(*scan))
 
 
-def assert_clearance_matches_all_pairs(c):
-    assert _min_clearance_pair(c) == clearance_all_pairs(c)
+def assert_near_pairs_cover(c, r, iu, ju, dist):
+    # the enumerator's pairs are vertex-disjoint, i < j, each once, and hold
+    # every pair at most r apart
+    m = c.m
+    got = np.concatenate([np.empty(0, dtype=np.int64)] + [i * m + j for i, j in _near_edge_pairs(c, r)])
+    i, j = divmod(got, m)
+    assert np.all(j >= i + 2) and not np.any((i == 0) & (j == m - 1))
+    assert len(np.unique(got)) == len(got)
+    near = dist <= r
+    assert np.isin(iu[near] * m + ju[near], got).all()
+
+
+def assert_clearance_matches_all_pairs(c, radii=("u0", "mid", "diameter")):
+    best, (iu, ju, dist) = clearance_all_pairs(c)
+    assert _min_clearance_pair(c) == best
+    # u0: the closest pair of edges two apart, the radius clearance uses;
+    # the diameter radius takes in every pair
+    u0 = dist[(ju - iu == 2) | (ju - iu == c.m - 2)].min()
+    diameter = np.linalg.norm(np.ptp(c.vertices, axis=0))
+    r = {"u0": u0, "mid": math.sqrt(u0 * diameter), "diameter": diameter}
+    for name in radii:
+        assert_near_pairs_cover(c, r[name], iu, ju, dist)
 
 
 @pytest.mark.parametrize("m", [4, 5, 40, 900])
@@ -340,7 +363,7 @@ def test_clearance_far_from_origin():
 
 def test_clearance_b3_plat_matches_all_pairs():
     # m = 3182: about 5 M edge pairs, which the reference scans in row blocks
-    assert_clearance_matches_all_pairs(build_plat(make_uniform_jm_spec(3, 13, 3)))
+    assert_clearance_matches_all_pairs(build_plat(make_uniform_jm_spec(3, 13, 3)), radii=("mid",))
 
 
 def test_clearance_matches_scalar_oracle():
