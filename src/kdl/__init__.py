@@ -50,7 +50,6 @@ from .errors import (
     SelfIntersecting,
 )
 from .geom import (
-    Point3,
     PolyCurve,
     arclength_distance,
     build_polycurve,
@@ -71,7 +70,6 @@ from .plat import (
     arc_polyline,
     build_plat,
     component_count,
-    make_alternating_jm_spec,
     make_uniform_jm_spec,
     max_adjacent_arc_ratio,
     regions_for,
@@ -96,7 +94,6 @@ __all__ = [
     "NotEmbedded",
     "OutOfRange",
     "PlatSpec",
-    "Point3",
     "PolyCurve",
     "RefineConfig",
     "SelfIntersecting",
@@ -120,7 +117,6 @@ __all__ = [
     "helix_ratio_bound",
     "interior_angle",
     "load_curve",
-    "make_alternating_jm_spec",
     "make_report",
     "make_uniform_jm_spec",
     "max_adjacent_arc_ratio",

@@ -19,7 +19,7 @@ evaluation, which the tests pin down).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .distortion import helix_ratio_bound
 from .errors import HypothesisViolated, NonPositiveClearance, NotAlternating
@@ -131,33 +131,17 @@ class BoundsReport:
     upper_bound: float | None = None
 
     def to_json(self) -> dict:
-        out = {
-            "b": self.b,
-            "d": self.d,
-            "k": self.k,
-            "lower_bound": self.lower_bound,
-            "pardon_bound": self.pardon_bound,
-            "l": self.l,
-            "half_length_bound": self.half_length_bound,
-            "region_count": self.region_count,
-        }
-        if self.crossing_number is not None:
-            out["crossing_number"] = self.crossing_number
-        if self.alpha is not None:
-            out["alpha"] = self.alpha
-            out["upper_bound"] = self.upper_bound
-        return out
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
-def make_report(
-    spec: PlatSpec, curve: PolyCurve | None = None, representativity: int = 2
-) -> BoundsReport:
+def make_report(spec: PlatSpec, curve: PolyCurve | None = None) -> BoundsReport:
     """Assemble the full report for one spec.
 
     l is the largest twist-arc nominal length -- read off the curve's
     tags when present, otherwise computed from the largest |count| in
     the PlatSpec (the two agree for curves built here).  alpha is the
-    measured clearance of the supplied curve.
+    measured clearance of the supplied curve.  The Pardon bound is taken
+    at representativity 2, the value for alternating knots.
     """
     b, n = spec.b, spec.n
     d = bridge_distance(b, n)
@@ -182,7 +166,7 @@ def make_report(
         d=d,
         k=k,
         lower_bound=distortion_lower_bound(b, d),
-        pardon_bound=pardon_bound(representativity),
+        pardon_bound=pardon_bound(),
         l=l,
         half_length_bound=half_length_bound(b, n, l),
         region_count=twist_region_count(b, n),

@@ -10,8 +10,7 @@ sweep       one CSV row per bridge index b, with n = 4b(b-2)+1
 
 Exit codes: 0 success; 2 bad input or violated precondition; 3 the
 certified engine ran out of budget (the partial certificate is still
-printed); 4 internal failure.  The environment variable KDL_BUDGET,
-when set, overrides the bisection budget of every certified run.
+printed); 4 internal failure.
 """
 
 from __future__ import annotations
@@ -19,38 +18,23 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
 
 from .bounds import make_report
 from .distortion import _MAX_EXPANSIONS, distortion_certified, distortion_sampled
 from .errors import KdlError
-from .geom import PolyCurve, curve_from_json, save_curve
+from .geom import PolyCurve, load_curve, save_curve
 from .plat import build_plat, make_uniform_jm_spec, run_claim_checks
-
-
-def _budget(flag_value: int | None) -> int:
-    env = os.environ.get("KDL_BUDGET")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise KdlError(f"KDL_BUDGET must be an integer, got {env!r}")
-    if flag_value is not None:
-        return flag_value
-    return _MAX_EXPANSIONS
 
 
 def _load_curve(path: str) -> PolyCurve:
     try:
-        with open(path) as fh:
-            data = json.load(fh)
+        return load_curve(path)
     except OSError as exc:
         raise KdlError(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or bad UTF-8
         raise KdlError(f"{path} is not valid curve JSON: {exc}")
-    return curve_from_json(data)
 
 
 def _write_obj(path: str, curve: PolyCurve) -> None:
@@ -88,9 +72,7 @@ def cmd_distortion(args: argparse.Namespace) -> int:
             )
         )
         return 0
-    cert = distortion_certified(
-        curve, eps=args.eps, max_expansions=_budget(args.budget)
-    )
+    cert = distortion_certified(curve, eps=args.eps, max_expansions=args.budget)
     print(json.dumps({"mode": "certified", **cert.to_json()}))
     return 3 if cert.budget_exceeded else 0
 
@@ -98,7 +80,7 @@ def cmd_distortion(args: argparse.Namespace) -> int:
 def cmd_bounds(args: argparse.Namespace) -> int:
     spec = make_uniform_jm_spec(args.b, args.n, args.t)
     curve = _load_curve(args.curve) if args.curve else None
-    report = make_report(spec, curve, representativity=args.representativity)
+    report = make_report(spec, curve)
     print(json.dumps(report.to_json()))
     return 0
 
@@ -161,7 +143,7 @@ def _sweep_row(b: int, t: int, eps: float, samples: int, certified: bool) -> dic
         "L": curve.total_len,
     }
     if certified or b <= _SWEEP_CERTIFIED_MAX_B:
-        cert = distortion_certified(curve, eps=eps, max_expansions=_budget(None))
+        cert = distortion_certified(curve, eps=eps)
         row["certified_lo"] = cert.lo
         row["certified_hi"] = cert.hi
     row["runtime_ms"] = int(round(1000.0 * (time.perf_counter() - started)))
@@ -171,25 +153,24 @@ def _sweep_row(b: int, t: int, eps: float, samples: int, certified: bool) -> dic
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.b_min > args.b_max:
         raise KdlError(f"empty sweep: b-min {args.b_min} > b-max {args.b_max}")
-    rows = []
-    for b in range(args.b_min, args.b_max + 1):
-        row = _sweep_row(b, args.t, args.eps, args.samples, args.certified)
-        rows.append(row)
-        print(f"b={b} done in {row['runtime_ms']} ms", file=sys.stderr)
 
     def fmt(v):
         return repr(v) if isinstance(v, float) else v
 
+    # opened before the first row, so an unwritable path fails at once
     out = open(args.csv, "w", newline="") if args.csv else sys.stdout
     try:
         writer = csv.DictWriter(out, fieldnames=_SWEEP_COLUMNS)
         writer.writeheader()
-        for row in rows:
+        for b in range(args.b_min, args.b_max + 1):
+            row = _sweep_row(b, args.t, args.eps, args.samples, args.certified)
             writer.writerow({k: fmt(v) for k, v in row.items()})
+            print(f"b={b} done in {row['runtime_ms']} ms", file=sys.stderr)
     finally:
         if args.csv:
             out.close()
-            print(f"wrote {args.csv} ({len(rows)} rows)")
+    if args.csv:
+        print(f"wrote {args.csv} ({args.b_max - args.b_min + 1} rows)")
     return 0
 
 
@@ -213,7 +194,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("certified", "sampled"), default="certified")
     p.add_argument("--eps", type=float, default=1e-2, help="certified interval width")
     p.add_argument("--samples", type=int, default=1024, help="sampled mode: extra parameters")
-    p.add_argument("--budget", type=int, default=None, help="certified mode: bisection cap")
+    p.add_argument(
+        "--budget", type=int, default=_MAX_EXPANSIONS, help="certified mode: bisection cap"
+    )
     p.set_defaults(func=cmd_distortion)
 
     p = sub.add_parser("bounds", help="closed-form bound report for one (b, n, t)")
@@ -221,7 +204,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--curve", help="measured curve JSON: adds alpha and upper_bound")
-    p.add_argument("--representativity", type=int, default=2)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("verify", help="run the strand-shape checks")
@@ -253,7 +235,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except KdlError as exc:
+    except (KdlError, OSError) as exc:  # OSError: an output path
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # never let a traceback be the interface

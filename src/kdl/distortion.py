@@ -23,7 +23,7 @@ near-corner sample pairs, so the analytic bound is tight.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -63,7 +63,7 @@ class WitnessPair:
     ratio: float
 
     def to_json(self) -> dict:
-        return {"s": self.s, "t": self.t, "ratio": self.ratio}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -91,14 +91,7 @@ class DistortionCertificate:
         return self.hi - self.lo
 
     def to_json(self) -> dict:
-        return {
-            "lo": self.lo,
-            "hi": self.hi,
-            "eps": self.eps,
-            "witness": self.witness.to_json(),
-            "cells": self.cells,
-            "budget_exceeded": self.budget_exceeded,
-        }
+        return asdict(self)
 
 
 def corner_ratio(phi: float) -> float:

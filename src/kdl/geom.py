@@ -27,7 +27,6 @@ import numpy as np
 from .errors import DegenerateCurve, OutOfRange
 
 __all__ = [
-    "Point3",
     "PolyCurve",
     "build_polycurve",
     "point_at",
@@ -42,22 +41,6 @@ __all__ = [
     "load_curve",
     "save_curve",
 ]
-
-@dataclass(frozen=True)
-class Point3:
-    """A point in R^3.  Thin wrapper so public signatures stay readable."""
-
-    x: float
-    y: float
-    z: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=float)
-
-    @staticmethod
-    def from_array(a) -> "Point3":
-        return Point3(float(a[0]), float(a[1]), float(a[2]))
-
 
 @dataclass(frozen=True)
 class PolyCurve:
@@ -91,16 +74,10 @@ class PolyCurve:
 
 
 def _as_vertex_array(points) -> np.ndarray:
-    if isinstance(points, np.ndarray):
+    try:
         arr = np.asarray(points, dtype=float)
-    else:
-        rows = []
-        for p in points:
-            if isinstance(p, Point3):
-                rows.append([p.x, p.y, p.z])
-            else:
-                rows.append([float(p[0]), float(p[1]), float(p[2])])
-        arr = np.asarray(rows, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DegenerateCurve(f"vertices are not an (m, 3) array of numbers: {exc}")
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise DegenerateCurve(f"expected an (m, 3) vertex array, got shape {arr.shape}")
     return arr
@@ -173,10 +150,10 @@ def _points_at(c: PolyCurve, s: np.ndarray) -> np.ndarray:
     return c.vertices[k] + local[..., None] * c.edge_dirs[k]
 
 
-def point_at(c: PolyCurve, s: float) -> Point3:
-    """Point at arclength parameter ``s`` in [0, total_len)."""
+def point_at(c: PolyCurve, s: float) -> np.ndarray:
+    """Point at arclength parameter ``s`` in [0, total_len), shape (3,)."""
     s = _check_params(c, float(s))
-    return Point3.from_array(_points_at(c, np.atleast_1d(s))[0])
+    return _points_at(c, np.atleast_1d(s))[0]
 
 
 def wrap_param(c: PolyCurve, s: float) -> float:
@@ -269,16 +246,10 @@ def _seg_seg_dist(p1, d1, p2, d2):
 def segment_min_distance(a0, a1, b0, b1) -> float:
     """Minimum distance between segments [a0, a1] and [b0, b1].
 
-    Accepts Point3, tuples, or arrays.  Exact for parallel, collinear,
+    Accepts any array-likes of shape (3,).  Exact for parallel, collinear,
     touching and degenerate inputs.
     """
-
-    def conv(p):
-        if isinstance(p, Point3):
-            return p.as_array()
-        return np.asarray(p, dtype=float)
-
-    a0, a1, b0, b1 = conv(a0), conv(a1), conv(b0), conv(b1)
+    a0, a1, b0, b1 = (np.asarray(p, dtype=float) for p in (a0, a1, b0, b1))
     return float(
         _seg_seg_dist(
             a0[None, :], (a1 - a0)[None, :], b0[None, :], (b1 - b0)[None, :]
@@ -430,7 +401,10 @@ def curve_from_json(data: dict) -> PolyCurve:
     if data.get("arcs"):
         from .plat import ArcTag  # deferred: geometry stays tag-agnostic
 
-        arcs = tuple(ArcTag.from_json(d) for d in data["arcs"])
+        try:
+            arcs = tuple(ArcTag.from_json(d) for d in data["arcs"])
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            raise DegenerateCurve(f"malformed arc tag: {exc!r}")
     return build_polycurve(data["vertices"], arcs=arcs)
 
 

@@ -47,7 +47,6 @@ __all__ = [
     "PlatSpec",
     "ArcTag",
     "arc_polyline",
-    "make_alternating_jm_spec",
     "make_uniform_jm_spec",
     "regions_for",
     "component_count",
@@ -166,26 +165,6 @@ class ArcTag:
             region=tuple(d["region"]) if "region" in d else None,
             half_twists=int(d["half_twists"]) if "half_twists" in d else None,
         )
-
-
-def make_alternating_jm_spec(b: int, n: int, t: int = 3) -> PlatSpec:
-    """Alternating spec whose first row swaps strands and all later rows
-    restore them: the first row gets the smallest odd count >= t, every
-    other row the smallest even count >= t; odd rows wind right-handed,
-    even rows left-handed."""
-    if not isinstance(t, int) or t < 3:
-        raise InvalidSpec(f"every region needs at least 3 crossings, got t={t!r}")
-    odd_count = t if t % 2 == 1 else t + 1
-    even_count = t if t % 2 == 0 else t + 1
-    tw = {}
-    for (i, j) in regions_for(b, n):
-        if i == 1:
-            tw[(i, j)] = odd_count
-        elif i % 2 == 1:
-            tw[(i, j)] = even_count
-        else:
-            tw[(i, j)] = -even_count
-    return PlatSpec(b=b, n=n, twists=tw)
 
 
 def make_uniform_jm_spec(b: int, n: int, t: int = 3) -> PlatSpec:

@@ -27,6 +27,8 @@ from .geom import PolyCurve, _seg_seg_dist, build_polycurve, min_clearance
 
 __all__ = ["RefineConfig", "refine"]
 
+_COOLING = 0.999  # temperature factor per iteration
+
 
 @dataclass(frozen=True)
 class RefineConfig:
@@ -34,7 +36,6 @@ class RefineConfig:
     step: float
     clearance_floor: float
     seed: int
-    cooling: float = 0.999
 
     def __post_init__(self):
         if not isinstance(self.iterations, int) or self.iterations < 0:
@@ -43,8 +44,6 @@ class RefineConfig:
             raise ValueError(f"step must be positive, got {self.step!r}")
         if not (self.clearance_floor > 0.0):
             raise ValueError(f"clearance_floor must be positive, got {self.clearance_floor!r}")
-        if not (0.0 < self.cooling < 1.0):
-            raise ValueError(f"cooling must lie in (0, 1), got {self.cooling!r}")
 
 
 def _sampled_max_ratio(verts: np.ndarray, n_samples: int) -> float:
@@ -126,7 +125,7 @@ def refine(c: PolyCurve, cfg: RefineConfig, log_path=None) -> PolyCurve:
         # refuse moves that collapse an edge; the clearance check ignores
         # adjacent pairs, so this is the only degeneracy the floor misses
         if min(np.linalg.norm(cand_v - prev_v), np.linalg.norm(cand_v - next_v)) < 1e-9:
-            T *= cfg.cooling
+            T *= _COOLING
             continue
 
         cand_verts = verts.copy()
@@ -134,7 +133,7 @@ def refine(c: PolyCurve, cfg: RefineConfig, log_path=None) -> PolyCurve:
         cand_obj = _sampled_max_ratio(cand_verts, n_samples)
         delta = cand_obj - cur_obj
         if delta > 0.0 and not (float(rng.random()) < math.exp(-delta / max(T, 1e-300))):
-            T *= cfg.cooling
+            T *= _COOLING
             continue
         # objective accepted the move; the clearance floor has the veto.
         # Pairs away from the two moved edges are unchanged and cleared the
@@ -145,7 +144,7 @@ def refine(c: PolyCurve, cfg: RefineConfig, log_path=None) -> PolyCurve:
             if cur_obj < best_obj:
                 best_obj = cur_obj
                 best_verts = verts.copy()
-        T *= cfg.cooling
+        T *= _COOLING
         if it % 100 == 0 and log_path is not None:
             log_rows.append((it, best_obj, min_clearance(build_polycurve(verts))))
 

@@ -6,14 +6,18 @@ import numpy as np
 import pytest
 
 from conftest import regular_polygon
+from kdl.bounds import make_report
 from kdl.cli import main
 from kdl.geom import build_polycurve, load_curve, save_curve
+from kdl.plat import PlatSpec, make_uniform_jm_spec
+
+SQUARE = [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]]
 
 
 @pytest.fixture
 def square_file(tmp_path):
     path = tmp_path / "square.json"
-    save_curve(build_polycurve([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]]), path)
+    save_curve(build_polycurve(SQUARE), path)
     return str(path)
 
 
@@ -63,6 +67,15 @@ def test_build_rejects_low_twist(tmp_path, capsys):
                "--out", str(tmp_path / "x.json")])
     assert rc == 2
     assert "at least 3 crossings" in capsys.readouterr().err
+
+
+def test_build_unwritable_out(tmp_path, capsys):
+    rc = main(["build", "--b", "3", "--n", "13", "--t", "3",
+               "--out", str(tmp_path / "missing" / "x.json")])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert err.startswith("error:")
+    assert out == ""
 
 
 def test_build_obj_export(tmp_path):
@@ -116,20 +129,47 @@ def test_distortion_missing_file(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
-def test_distortion_budget_exhaustion(gon1000_file, capsys, monkeypatch):
-    monkeypatch.setenv("KDL_BUDGET", "10")
-    rc = main(["distortion", "--curve", gon1000_file, "--eps", "1e-6"])
+def _curve_bytes(vertices, **extra):
+    return json.dumps({"closed": True, "vertices": vertices, **extra}).encode()
+
+
+MALFORMED_CURVES = {
+    "two-coordinates": _curve_bytes([[0, 0], [1, 0], [0, 1]]),
+    "four-coordinates": _curve_bytes([v + [5] for v in SQUARE]),
+    "ragged": _curve_bytes([[0, 0, 0], [1, 0], [1, 1, 0], [0, 1, 0]]),
+    "null-row": _curve_bytes([[0, 0, 0], None, [1, 1, 0], [0, 1, 0]]),
+    "string-coordinate": _curve_bytes([[0, 0, 0], [1, "a", 0], [1, 1, 0], [0, 1, 0]]),
+    "string-vertices": _curve_bytes("abc"),
+    "non-utf8": b'\xff\xfe{"closed": true}',
+    "arc-without-strand": _curve_bytes(
+        SQUARE, arcs=[{"kind": "vertical", "range": [0, 2], "nominal_length": 2.0}]
+    ),
+}
+
+
+@pytest.mark.parametrize("payload", MALFORMED_CURVES.values(), ids=MALFORMED_CURVES.keys())
+def test_distortion_malformed_curve_file(tmp_path, capsys, payload):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(payload)
+    rc = main(["distortion", "--curve", str(bad)])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert err.startswith("error:")
+    assert out == ""
+
+
+def test_distortion_budget_exhaustion(gon1000_file, capsys):
+    rc = main(["distortion", "--curve", gon1000_file, "--eps", "1e-6", "--budget", "10"])
     assert rc == 3
     data = json.loads(capsys.readouterr().out)
     assert data["budget_exceeded"]
     assert data["lo"] <= data["hi"]  # partial certificate still an enclosure
 
 
-def test_budget_env_must_be_integer(square_file, capsys, monkeypatch):
-    monkeypatch.setenv("KDL_BUDGET", "lots")
-    rc = main(["distortion", "--curve", square_file])
+def test_budget_must_be_integer(square_file, capsys):
+    rc = main(["distortion", "--curve", square_file, "--budget", "lots"])
     assert rc == 2
-    assert "KDL_BUDGET" in capsys.readouterr().err
+    assert "--budget" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +277,52 @@ def test_sweep_above_certified_cutoff_leaves_interval_blank(capsys):
     assert float(row["sampled_delta"]) <= float(row["upper_bound"])
 
 
+def test_sweep_unwritable_csv_fails_before_first_row(tmp_path, capsys):
+    rc = main(["sweep", "--b-min", "3", "--b-max", "3", "--t", "3",
+               "--csv", str(tmp_path / "missing" / "sweep.csv")])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert err.startswith("error:")
+    assert "b=3 done" not in err
+    assert out == ""
+
+
 def test_sweep_empty_range(capsys):
     assert main(["sweep", "--b-min", "4", "--b-max", "3", "--t", "3"]) == 2
+
+
+# ---------------------------------------------------------------------------
+# JSON records
+
+
+def test_json_records_pinned(tmp_path, square_file, capsys):
+    """Key order and values of every record the CLI prints as JSON."""
+    closed_form = (
+        '{"b": 3, "d": 7, "k": 6.0, "lower_bound": 0.0375, "pardon_bound": 0.0125, '
+        '"l": 4.817323935802019, "half_length_bound": 226.87563349627874, '
+        '"region_count": 32'
+    )
+    curve = tmp_path / "k3.json"
+    assert main(["build", "--b", "3", "--n", "13", "--t", "3", "--out", str(curve)]) == 0
+    capsys.readouterr()
+
+    assert main(["bounds", "--b", "3", "--n", "13", "--t", "3"]) == 0
+    assert capsys.readouterr().out == closed_form + ', "crossing_number": 96}\n'
+    assert main(["bounds", "--b", "3", "--n", "13", "--t", "3", "--curve", str(curve)]) == 0
+    assert capsys.readouterr().out == (
+        closed_form + ', "crossing_number": 96, "alpha": 0.0980171403295594, '
+        '"upper_bound": 12385.23821181109}\n'
+    )
+    twists = make_uniform_jm_spec(3, 13, 3).twists
+    same_sign = PlatSpec(3, 13, {k: abs(w) for k, w in twists.items()})
+    assert json.dumps(make_report(same_sign).to_json()) == closed_form + "}"
+
+    assert main(["distortion", "--curve", square_file, "--eps", "1e-4"]) == 0
+    assert capsys.readouterr().out == (
+        '{"mode": "certified", "lo": 2.0, "hi": 2.0001, "eps": 0.0001, '
+        '"witness": {"s": 0.5, "t": 2.5, "ratio": 2.0}, "cells": 6, '
+        '"budget_exceeded": false}\n'
+    )
 
 
 # ---------------------------------------------------------------------------

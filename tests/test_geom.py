@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from conftest import jittered_polygon, random_rotation, regular_polygon
 from kdl.errors import DegenerateCurve, OutOfRange
 from kdl.geom import (
-    Point3,
     arclength_distance,
     build_polycurve,
     chord_distance,
@@ -115,30 +114,44 @@ def test_nonfinite_rejected():
         build_polycurve([[0, 0, 0], [1, 0, 0], [np.nan, 1, 0]])
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[0, 0], [1, 0], [0, 1]],
+        [[0, 0, 0, 1], [1, 0, 0, 1], [1, 1, 0, 1], [0, 1, 0, 1]],
+        [[0, 0, 0], [1, 0], [1, 1, 0], [0, 1, 0]],
+        [[0, 0, 0], None, [1, 1, 0], [0, 1, 0]],
+        [[0, 0, 0], [1, "a", 0], [1, 1, 0], [0, 1, 0]],
+    ],
+    ids=["two-coordinates", "four-coordinates", "ragged", "none-row", "non-numeric"],
+)
+def test_malformed_rows_rejected(rows):
+    with pytest.raises(DegenerateCurve):
+        build_polycurve(rows)
+
+
 def test_vertices_write_locked(square):
     with pytest.raises(ValueError):
         square.vertices[0, 0] = 5.0
-
-
-def test_point3_roundtrip():
-    p = Point3(0.25, -1.5, 3.0)
-    assert Point3.from_array(p.as_array()) == p
 
 
 # ---------------------------------------------------------------------------
 # parametrization
 
 def test_point_at_square(square):
-    assert np.allclose(point_at(square, 0.0).as_array(), [0, 0, 0])
-    assert np.allclose(point_at(square, 2.0).as_array(), [1, 1, 0])
-    assert np.allclose(point_at(square, 0.5).as_array(), [0.5, 0, 0])
+    assert point_at(square, 0.5).shape == (3,)
+    assert np.allclose(point_at(square, 0.0), [0, 0, 0])
+    assert np.allclose(point_at(square, 2.0), [1, 1, 0])
+    assert np.allclose(point_at(square, 0.5), [0.5, 0, 0])
 
 
 def test_point_at_reproduces_vertices():
     verts = jittered_polygon(17, seed=3)
     c = build_polycurve(verts)
     for i in range(c.m):
-        assert np.array_equal(point_at(c, float(c.cum_len[i])).as_array(), verts[i])
+        p = point_at(c, float(c.cum_len[i]))
+        assert p.shape == (3,)
+        assert np.array_equal(p, verts[i])
 
 
 def test_point_at_out_of_range(square):

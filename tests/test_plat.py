@@ -15,7 +15,6 @@ from kdl.plat import (
     arc_polyline,
     build_plat,
     component_count,
-    make_alternating_jm_spec,
     make_uniform_jm_spec,
     max_adjacent_arc_ratio,
     regions_for,
@@ -110,14 +109,6 @@ def test_uniform_spec_shape():
     assert all(abs(w) == 3 for w in spec.twists.values())
     # odd rows twist one way, even rows the other
     assert spec.twists[(1, 1)] > 0 > spec.twists[(2, 1)]
-
-
-def test_alternating_spec_shape():
-    spec = make_alternating_jm_spec(3, 13, 3)
-    first = [w for (i, j), w in spec.twists.items() if i == 1]
-    rest = [w for (i, j), w in spec.twists.items() if i > 1]
-    assert all(w % 2 == 1 and w >= 3 for w in first)
-    assert all(w % 2 == 0 and abs(w) >= 3 for w in rest)
 
 
 @pytest.mark.parametrize("b", [3, 4, 5])
