@@ -117,17 +117,14 @@ _SWEEP_COLUMNS = [
     "runtime_ms",
 ]
 
-# above this, certified runs leave desk scale; --certified overrides
-_SWEEP_CERTIFIED_MAX_B = 4
-
-
-def _sweep_row(b: int, t: int, eps: float, samples: int, certified: bool) -> dict:
+def _sweep_row(b: int, t: int, eps: float, samples: int) -> dict:
     started = time.perf_counter()
     n = 4 * b * (b - 2) + 1
     spec = make_uniform_jm_spec(b, n, t)
     curve = build_plat(spec, samples_per_half_twist=samples)
     report = make_report(spec, curve)
     sampled = distortion_sampled(curve)
+    cert = distortion_certified(curve, eps=eps)
     row = {
         "b": b,
         "n": n,
@@ -136,16 +133,12 @@ def _sweep_row(b: int, t: int, eps: float, samples: int, certified: bool) -> dic
         "lower_bound": report.lower_bound,
         "pardon_bound": report.pardon_bound,
         "sampled_delta": sampled.ratio,
-        "certified_lo": "",
-        "certified_hi": "",
+        "certified_lo": cert.lo,
+        "certified_hi": cert.hi,
         "upper_bound": report.upper_bound,
         "alpha": report.alpha,
         "L": curve.total_len,
     }
-    if certified or b <= _SWEEP_CERTIFIED_MAX_B:
-        cert = distortion_certified(curve, eps=eps)
-        row["certified_lo"] = cert.lo
-        row["certified_hi"] = cert.hi
     row["runtime_ms"] = int(round(1000.0 * (time.perf_counter() - started)))
     return row
 
@@ -163,7 +156,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         writer = csv.DictWriter(out, fieldnames=_SWEEP_COLUMNS)
         writer.writeheader()
         for b in range(args.b_min, args.b_max + 1):
-            row = _sweep_row(b, args.t, args.eps, args.samples, args.certified)
+            row = _sweep_row(b, args.t, args.eps, args.samples)
             writer.writerow({k: fmt(v) for k, v in row.items()})
             print(f"b={b} done in {row['runtime_ms']} ms", file=sys.stderr)
     finally:
@@ -218,11 +211,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=0.05, help="certified interval width")
     p.add_argument("--samples", type=int, default=16, help="segments per half-twist")
     p.add_argument("--csv", help="output path (default: stdout)")
-    p.add_argument(
-        "--certified",
-        action="store_true",
-        help=f"certify every row, not only b <= {_SWEEP_CERTIFIED_MAX_B}",
-    )
     p.set_defaults(func=cmd_sweep)
     return parser
 

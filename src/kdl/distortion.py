@@ -30,6 +30,7 @@ import numpy as np
 from .errors import DegenerateCurve, NotEmbedded, OutOfRange
 from .geom import (
     PolyCurve,
+    _block_pairs,
     _dot,
     _interior_angles,
     _min_clearance_pair,
@@ -37,6 +38,7 @@ from .geom import (
     _points_at,
     _row_blocks,
     _seg_seg_dist,
+    _u0,
 )
 
 __all__ = [
@@ -52,6 +54,13 @@ __all__ = [
 
 _CHORD_FLOOR = 1e-12
 _MAX_EXPANSIONS = 5_000_000  # default bisection cap, the CLI's too
+# working memory per pair of a block, indices included: a _ratios block
+# and a _cell_upper block (about ten 3-vector temporaries)
+_RATIO_PAIR_BYTES = 160
+_CELL_PAIR_BYTES = 400
+# share of the triangle's pairs _curve_max_ratio may visit before it runs
+# the triangle instead
+_SCAN_SHARE = 1 / 16
 
 
 @dataclass(frozen=True)
@@ -73,8 +82,10 @@ class DistortionCertificate:
     ``lo`` is achieved by ``witness``; ``hi`` is a rigorous upper bound
     for the supremum.  ``cells`` counts every cell whose upper bound was
     evaluated: the candidate edge pairs of the initial grid plus all
-    bisection children.  Edge pairs too far apart to beat ``lo + eps``
-    are ruled out before any bound is taken and are not counted.  When
+    bisection children.  The candidates are the edge pairs that pass the
+    spatial hash and the midpoint-distance prefilter of the pair
+    enumerator at the reach of ``lo + eps``; pairs ruled out there, too
+    far apart to beat ``lo + eps``, are not counted.  When
     ``budget_exceeded`` is set the interval is still valid but may be
     wider than ``eps``.
     """
@@ -150,12 +161,88 @@ def _max_ratio(points: np.ndarray, params: np.ndarray, L: float):
     two points."""
     best, bi, bj = -1.0, 0, 0
     i = np.arange(max(len(points) - 1, 0))
-    for ii, jj in _row_blocks(i, i + 1, len(points) - 1 - i):
+    for ii, jj in _row_blocks(i, i + 1, len(points) - 1 - i, _RATIO_PAIR_BYTES):
         r = _ratios(points[ii], points[jj], params[ii], params[jj], L)
         k = int(np.argmax(r))
         if r[k] > best:
             best, bi, bj = float(r[k]), int(ii[k]), int(jj[k])
     return best, bi, bj
+
+
+def _reach(c: PolyCurve, ratio: float) -> float:
+    """Distance beyond which no point pair of c has a ratio of at least
+    ``ratio`` (inf for ratio <= 0): no arc is longer than L/2.  The
+    relative margin covers rounding in a ratio, the absolute one
+    coordinates far from 0."""
+    if not ratio > 0.0:
+        return math.inf
+    r = 0.5 * c.total_len / ratio
+    return r + (1e-9 * r + 1e-12 * (1.0 + float(np.abs(c.vertices).max())))
+
+
+def _curve_max_ratio(c: PolyCurve, params: np.ndarray):
+    """_max_ratio over the points of closed curve c at params, visiting
+    only the pairs that can still beat the best ratio found.
+
+    A pair more than _reach(c, best) apart has a ratio below best.  The
+    points are grouped by the edge that holds them.  Pairs on one edge or
+    on two adjacent edges are evaluated directly; the others come from
+    the edge pairs _near_edge_pairs yields at radius r, from r = u0,
+    doubled (capped at the reach) until r covers the reach of the best
+    ratio.  Every pair that can tie the best is then visited, and ties
+    go to the first pair in row-major order of params, so the result is
+    the full triangle's.  The triangle runs instead when all pairs fit
+    in one block, and once the scan has visited _SCAN_SHARE of the
+    triangle's pairs: on a near-round loop no pair can be pruned, and
+    the rounds would only add up to more than the triangle.
+    """
+    L, m, n = c.total_len, c.m, len(params)
+    points = _points_at(c, params)
+    if (n - 1) ** 2 <= _block_pairs(_RATIO_PAIR_BYTES):
+        return _max_ratio(points, params, L)
+    order = np.argsort(params, kind="stable")
+    ps, P = params[order], points[order]
+    edge = np.clip(np.searchsorted(c.cum_len, ps, side="right") - 1, 0, m - 1)
+    start = np.searchsorted(edge, np.arange(m + 1))  # edge e holds start[e]:start[e + 1]
+    count = np.diff(start)
+    best = (-1.0, 0)  # (ratio, -(i * n + j)) with i < j indices into params
+    spare = _SCAN_SHARE * n * (n - 1) / 2
+
+    def visit(blocks) -> bool:
+        """Fold the pairs of blocks into best; False once over budget."""
+        nonlocal best, spare
+        for a, b in blocks:
+            spare -= len(a)
+            if spare < 0:
+                return False
+            ratio = _ratios(P[a], P[b], ps[a], ps[b], L)
+            top = float(ratio.max(initial=-np.inf))
+            if top >= best[0]:
+                k = np.flatnonzero(ratio == top)
+                i, j = order[a[k]], order[b[k]]
+                best = max(best, (top, -int((np.minimum(i, j) * n + np.maximum(i, j)).min())))
+        return True
+
+    def on_edges(ei, ej):
+        """Blocks of the point pairs on edges ei[k] x ej[k]: one row per
+        point x on edge ei[k], over the points on edge ej[k]."""
+        for k, x in _row_blocks(np.arange(len(ei)), start[ei], count[ei], _RATIO_PAIR_BYTES):
+            yield from _row_blocks(x, start[ej[k]], count[ej[k]], _RATIO_PAIR_BYTES)
+
+    x, e = np.arange(n), np.arange(m)
+    ok = visit(_row_blocks(x, x + 1, start[edge + 1] - x - 1, _RATIO_PAIR_BYTES))
+    ok = ok and visit(on_edges(e, (e + 1) % m))
+    r = _u0(c)
+    while ok:
+        ok = all(visit(on_edges(ei, ej)) for ei, ej in _near_edge_pairs(c, r, _RATIO_PAIR_BYTES))
+        reach = _reach(c, best[0])
+        if r >= reach:
+            break
+        r = min(2.0 * r, reach) if r > 0.0 else reach
+    if not ok:
+        return _max_ratio(points, params, L)
+    i, j = divmod(-best[1], n)
+    return best[0], int(i), int(j)
 
 
 def distortion_sampled(c: PolyCurve, n_samples: int = 1024) -> WitnessPair:
@@ -174,7 +261,7 @@ def distortion_sampled(c: PolyCurve, n_samples: int = 1024) -> WitnessPair:
     params = params[params < c.total_len]
     if len(params) < 2:
         raise DegenerateCurve("not enough sample points for a pair")
-    best, i, j = _max_ratio(_points_at(c, params), params, c.total_len)
+    best, i, j = _curve_max_ratio(c, params)
     if best <= 0.0:
         raise DegenerateCurve("every sampled pair was chord-degenerate")
     return WitnessPair(s=float(params[i]), t=float(params[j]), ratio=best)
@@ -273,7 +360,7 @@ def _initial_vertex_scan(c: PolyCurve):
     """
     m, L = c.m, c.total_len
     params = c.cum_len[:m]
-    best, i, j = _max_ratio(_points_at(c, params), params, L)
+    best, i, j = _curve_max_ratio(c, params)
     bs, bt = float(params[i]), float(params[j])
     arm = 0.5 * np.minimum(np.minimum(np.roll(c.edge_lens, 1), c.edge_lens), 0.25 * L)
     ss = params - arm
@@ -332,14 +419,11 @@ def distortion_certified(
     corner_hi = _corner_sup(c)
     floor_pruned_hi = 0.0
 
-    # initial cell grid: a cell's numerator is at most L/2, so edges more
-    # than reach apart give u <= lo + eps.  The relative margin covers
-    # rounding in num / den, the absolute one coordinates far from 0
-    reach = 0.5 * L / (lo + eps)
-    reach += 1e-9 * reach + 1e-12 * (1.0 + float(np.abs(c.vertices).max()))
+    # initial cell grid: a cell's numerator is at most L/2, so edges
+    # further apart than the reach of lo + eps give u <= lo + eps
     survivors = [(np.empty(0, dtype=np.int64),) * 2 + (np.empty(0),)]
     cells_seen = 0
-    for ii, jj in _near_edge_pairs(c, reach):
+    for ii, jj in _near_edge_pairs(c, _reach(c, lo + eps), _CELL_PAIR_BYTES):
         cells_seen += len(ii)
         u = _cell_upper(c, ii, jj, c.cum_len[ii], c.cum_len[ii + 1], c.cum_len[jj], c.cum_len[jj + 1])
         survivors.append(tuple(a[u > lo + eps] for a in (ii, jj, u)))

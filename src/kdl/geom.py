@@ -267,14 +267,23 @@ def _distinct(x: np.ndarray) -> np.ndarray:
 # (0, 0, 0) and one of each +-pair of the 26 neighbour offsets: stepping
 # from every bin by these meets each unordered pair of touching bins once.
 _HALF_OFFSETS = np.array([o for o in itertools.product((-1, 0, 1), repeat=3) if o >= (0, 0, 0)])
-_CHUNK = 2_000_000  # pairs per block in every chunked pair scan
+# working memory of one block in every chunked pair scan; each caller
+# states its own bytes per pair, so heavy kernels take fewer pairs a block
+_BLOCK_BYTES = 64 << 20
+_SEG_PAIR_BYTES = 288  # a _seg_seg_dist block, indices included
 
 
-def _row_blocks(x: np.ndarray, first: np.ndarray, lens: np.ndarray):
+def _block_pairs(pair_bytes: int) -> int:
+    """Pairs in one block of a kernel using pair_bytes per pair."""
+    return max(1, _BLOCK_BYTES // pair_bytes)
+
+
+def _row_blocks(x: np.ndarray, first: np.ndarray, lens: np.ndarray, pair_bytes: int):
     """Index blocks (i, j) in which row k pairs x[k] with first[k], ...,
-    first[k] + lens[k] - 1.  A block holds _CHUNK // (longest row) whole
-    rows, at least one, in order, so pairs come in row-major order."""
-    rows = max(1, _CHUNK // max(int(lens.max(initial=0)), 1))
+    first[k] + lens[k] - 1.  A block holds _block_pairs(pair_bytes) //
+    (longest row) whole rows, at least one, in order, so pairs come in
+    row-major order."""
+    rows = max(1, _block_pairs(pair_bytes) // max(int(lens.max(initial=0)), 1))
     for r0 in range(0, len(x), rows):
         n = lens[r0 : r0 + rows]
         # j: a flat counter minus the row's start in the block, plus first[k]
@@ -283,10 +292,11 @@ def _row_blocks(x: np.ndarray, first: np.ndarray, lens: np.ndarray):
         )
 
 
-def _near_edge_pairs(c: PolyCurve, r: float):
+def _near_edge_pairs(c: PolyCurve, r: float, pair_bytes: int):
     """Blocks (i, j) of vertex-disjoint edge pairs, i < j, each pair once,
     that include every pair at most r apart (a uniform spatial hash;
-    Teschner et al. 2003).
+    Teschner et al. 2003).  Blocks are sized for a caller that spends
+    pair_bytes of working memory on each pair.
 
     Every edge is split, for binning only, into ceil(len / h) equal pieces
     with h = max(L / m, r); since the lengths sum to L that makes fewer
@@ -295,21 +305,25 @@ def _near_edge_pairs(c: PolyCurve, r: float):
     are d <= r apart, at points p and q, the pieces holding p and q have
     midpoints at most d + h_max apart (each midpoint lies within half its
     piece of p or q), so they sit in touching bins and the pair is a
-    candidate; a margin of 1e-12 * (1 + the largest |coordinate|) covers
-    rounding in the midpoints.  Piece pairs are expanded from bin pairs
-    in row blocks, mapped to their owner edges, and adjacent and seam
-    pairs dropped; an edge cut into several pieces can meet another edge
-    through several piece pairs, so when any edge was cut the pairs are
-    deduplicated and come sorted by (i, j)."""
+    candidate.  Piece pairs are expanded from bin pairs in row blocks,
+    mapped to their owner edges, and adjacent and seam pairs dropped, as
+    is every pair whose edge midpoints lie further apart than r plus both
+    half-lengths (such edges are more than r apart).  A margin of
+    1e-12 * (1 + the largest |coordinate|) covers rounding in the
+    midpoints, the half-lengths and the distances.  An edge cut into
+    several pieces can meet another edge through several piece pairs, so
+    when any edge was cut the pairs are deduplicated and come sorted by
+    (i, j)."""
     m = c.m
     V = c.vertices
     D = c.edge_lens[:, None] * c.edge_dirs
+    pad = 1e-12 * (1.0 + float(np.abs(V).max()))
     pieces = np.maximum(np.ceil(c.edge_lens / max(c.total_len / m, r)), 1).astype(np.int64)
     own = np.repeat(np.arange(m), pieces)
     rank = np.arange(len(own)) - (np.cumsum(pieces) - pieces)[own]
     mids = V[own] + ((rank + 0.5) / pieces[own])[:, None] * D[own]
     h_max = float((c.edge_lens / pieces).max())
-    cell = r + h_max + 1e-12 * (1.0 + float(np.abs(V).max()))
+    cell = r + h_max + pad
     # bin indices start at 1 and the key space has one spare bin on each
     # side, so a neighbour's key never wraps onto another bin
     keys = np.floor((mids - mids.min(axis=0)) / cell).astype(np.int64) + 1
@@ -324,24 +338,39 @@ def _near_edge_pairs(c: PolyCurve, r: float):
     bin_b = pos[bin_a, col]
     # one row per member x of bin a, over bin b, or over the members
     # after x when b is a itself; x and the rows index the sorted pieces
-    rows = _row_blocks(np.arange(len(bin_a)), starts[bin_a], counts[bin_a])
+    rows = _row_blocks(np.arange(len(bin_a)), starts[bin_a], counts[bin_a], pair_bytes)
     p, x = (np.concatenate(part) for part in zip(*rows))
     b = bin_b[p]
     first = np.where(bin_a[p] == b, x + 1, starts[b])
     lens = starts[b] + counts[b] - first
+    centre, half = V + 0.5 * D, 0.5 * c.edge_lens
 
     def owner_pairs(block):
         ea, eb = own[order[block[0]]], own[order[block[1]]]
         i, j = np.minimum(ea, eb), np.maximum(ea, eb)
         keep = (j > i + 1) & ~((i == 0) & (j == m - 1))
+        i, j = i[keep], j[keep]
+        gap = centre[i] - centre[j]
+        keep = np.sqrt(_dot(gap, gap)) <= (r + pad) + half[i] + half[j]
         return i[keep], j[keep]
 
     # map drops each piece block once its owner pairs are out
-    blocks = map(owner_pairs, _row_blocks(x, first, lens))
+    blocks = map(owner_pairs, _row_blocks(x, first, lens, pair_bytes))
     if len(own) > m:
         pairs = _distinct(np.concatenate([_distinct(i * m + j) for i, j in blocks]))
-        blocks = (divmod(pairs[k : k + _CHUNK], m) for k in range(0, len(pairs), _CHUNK))
+        step = _block_pairs(pair_bytes)
+        blocks = (divmod(pairs[k : k + step], m) for k in range(0, len(pairs), step))
     yield from (blk for blk in blocks if len(blk[0]))
+
+
+def _u0(c: PolyCurve) -> float:
+    """Smallest distance between edges i and i + 2, the radius the
+    clearance and point-pair scans start from; for m >= 4 it bounds the
+    clearance from above."""
+    V = c.vertices
+    D = c.edge_lens[:, None] * c.edge_dirs
+    skip = (np.arange(c.m) + 2) % c.m
+    return float(_seg_seg_dist(V, D, V[skip], D[skip]).min())
 
 
 def _min_clearance_pair(c: PolyCurve):
@@ -357,10 +386,8 @@ def _min_clearance_pair(c: PolyCurve):
     m = c.m
     V = c.vertices
     D = c.edge_lens[:, None] * c.edge_dirs
-    skip = (np.arange(m) + 2) % m
-    u0 = float(_seg_seg_dist(V, D, V[skip], D[skip]).min())
     best = (math.inf, -1, -1)
-    for i, j in _near_edge_pairs(c, u0):
+    for i, j in _near_edge_pairs(c, _u0(c), _SEG_PAIR_BYTES):
         d = _seg_seg_dist(V[i], D[i], V[j], D[j])
         k = np.flatnonzero(d == d.min())
         k = k[np.argmin(i[k] * m + j[k])]
@@ -397,15 +424,24 @@ def curve_from_json(data: dict) -> PolyCurve:
         raise DegenerateCurve('curve JSON must be an object with "closed": true')
     if "vertices" not in data:
         raise DegenerateCurve('curve JSON is missing "vertices"')
-    arcs = ()
-    if data.get("arcs"):
-        from .plat import ArcTag  # deferred: geometry stays tag-agnostic
+    rows = data["vertices"]
+    # numpy would also take strings and booleans as numbers
+    if not isinstance(rows, list) or not all(
+        isinstance(row, list) and all(type(x) in (int, float) for x in row) for row in rows
+    ):
+        raise DegenerateCurve("vertices must be a list of rows of JSON numbers")
+    if not data.get("arcs"):
+        return build_polycurve(rows)
+    from .plat import ArcTag  # deferred: geometry stays tag-agnostic
 
-        try:
-            arcs = tuple(ArcTag.from_json(d) for d in data["arcs"])
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
-            raise DegenerateCurve(f"malformed arc tag: {exc!r}")
-    return build_polycurve(data["vertices"], arcs=arcs)
+    try:
+        arcs = tuple(ArcTag.from_json(d) for d in data["arcs"])
+        curve = build_polycurve(rows, arcs=arcs)
+        for tag in arcs:
+            tag.check(curve)
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise DegenerateCurve(f"malformed arc tag: {exc!r}")
+    return curve
 
 
 def save_curve(c: PolyCurve, path) -> None:

@@ -155,6 +155,25 @@ class ArcTag:
             out["half_twists"] = int(self.half_twists)
         return out
 
+    def check(self, curve: PolyCurve) -> None:
+        """Raise ValueError unless the tag can describe an arc of curve:
+        a known kind, a nonempty range inside the m vertices, and a
+        positive finite nominal length no shorter (rel 1e-9) than the
+        range's polyline, which inscribes the smooth arc."""
+        i0, i1 = self.vrange
+        if self.kind not in ("twist", "vertical", "bridge"):
+            raise ValueError(f"unknown arc kind {self.kind!r}")
+        if not 0 <= i0 < i1 <= curve.m:
+            raise ValueError(f"range [{i0}, {i1}) is not inside the {curve.m} vertices")
+        if not (math.isfinite(self.nominal_length) and self.nominal_length > 0.0):
+            raise ValueError(f"nominal length {self.nominal_length!r} is not positive and finite")
+        length = float(curve.edge_lens[i0:i1].sum())
+        if self.nominal_length < length * (1.0 - 1e-9):
+            raise ValueError(
+                f"nominal length {self.nominal_length!r} is below the length "
+                f"{length!r} of its polyline [{i0}, {i1}]"
+            )
+
     @staticmethod
     def from_json(d: dict) -> "ArcTag":
         return ArcTag(

@@ -140,9 +140,16 @@ MALFORMED_CURVES = {
     "null-row": _curve_bytes([[0, 0, 0], None, [1, 1, 0], [0, 1, 0]]),
     "string-coordinate": _curve_bytes([[0, 0, 0], [1, "a", 0], [1, 1, 0], [0, 1, 0]]),
     "string-vertices": _curve_bytes("abc"),
+    "strings-and-booleans": _curve_bytes(
+        [["0", "0", "0"], [True, 0, 0], [1, "1e0", 0], [0, 1, False]]
+    ),
     "non-utf8": b'\xff\xfe{"closed": true}',
     "arc-without-strand": _curve_bytes(
         SQUARE, arcs=[{"kind": "vertical", "range": [0, 2], "nominal_length": 2.0}]
+    ),
+    "arc-range-past-end": _curve_bytes(
+        SQUARE,
+        arcs=[{"kind": "twist", "strand": 7, "range": [5, 99999], "nominal_length": 1e9}],
     ),
 }
 
@@ -262,8 +269,8 @@ def test_sweep_single_certified_row(tmp_path, capsys):
     assert int(row["runtime_ms"]) > 0
 
 
-def test_sweep_above_certified_cutoff_leaves_interval_blank(capsys):
-    # b=5 with default settings certifies nothing; row still complete
+def test_sweep_b5_row_fills_certified_interval(capsys):
+    # every row is certified, b=5 included
     rc = main(["sweep", "--b-min", "5", "--b-max", "5", "--t", "3",
                "--samples", "8"])
     assert rc == 0
@@ -272,7 +279,7 @@ def test_sweep_above_certified_cutoff_leaves_interval_blank(capsys):
     ]
     assert lines[0] == SWEEP_HEADER
     row = dict(zip(lines[0].split(","), lines[1].split(",")))
-    assert row["certified_lo"] == "" and row["certified_hi"] == ""
+    assert float(row["certified_lo"]) <= float(row["certified_hi"])
     assert row["d"] == "11"
     assert float(row["sampled_delta"]) <= float(row["upper_bound"])
 

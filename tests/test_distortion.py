@@ -101,11 +101,11 @@ def block_pairs(blocks):
 @pytest.mark.parametrize("k", [1, 2])
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 37])
 def test_pair_blocks_cover_triangle_once(monkeypatch, n, k):
-    # the triangle j >= i + k as rows (i, i + k, n - k - i); a small chunk
-    # splits it into several blocks of rows
-    monkeypatch.setattr(geom, "_CHUNK", 50)
+    # the triangle j >= i + k as rows (i, i + k, n - k - i); a small
+    # budget, 50 pairs of 8 bytes, splits it into several blocks of rows
+    monkeypatch.setattr(geom, "_BLOCK_BYTES", 400)
     i = np.arange(max(n - k, 0))
-    blocks = list(geom._row_blocks(i, i + k, n - k - i))
+    blocks = list(geom._row_blocks(i, i + k, n - k - i, 8))
     if n > 20:
         assert len(blocks) > 1
     want = [(i, j) for i in range(n) for j in range(i + k, n)]
@@ -113,12 +113,13 @@ def test_pair_blocks_cover_triangle_once(monkeypatch, n, k):
 
 
 def test_row_blocks_ragged_rows(monkeypatch):
-    # rows of 3, 0, 4, 0, 2 and 5 pairs: 10 // 5 = 2 whole rows a block
-    monkeypatch.setattr(geom, "_CHUNK", 10)
+    # rows of 3, 0, 4, 0, 2 and 5 pairs; 80 bytes at 8 a pair is 10
+    # pairs, and 10 // 5 = 2 whole rows a block
+    monkeypatch.setattr(geom, "_BLOCK_BYTES", 80)
     x = np.array([7, 3, 3, 0, 9, 4])
     first = np.array([0, 5, 2, 8, 1, 6])
     lens = np.array([3, 0, 4, 0, 2, 5])
-    blocks = list(geom._row_blocks(x, first, lens))
+    blocks = list(geom._row_blocks(x, first, lens, 8))
     assert [len(ii) for ii, _ in blocks] == [3, 4, 7]
     want = [(int(a), int(f) + t) for a, f, n in zip(x, first, lens) for t in range(n)]
     assert block_pairs(blocks) == want
@@ -155,6 +156,137 @@ def test_sampled_below_certified_hi():
 def test_sampled_rejects_negative(square):
     with pytest.raises(OutOfRange):
         distortion_sampled(square, n_samples=-1)
+
+
+def thin_loop(n, width, seed):
+    """A loop around a 10 x width rectangle, n vertices a long side, with
+    out-of-plane noise: distortion about 10 / width, so only pairs about
+    width apart can beat it."""
+    rng = np.random.default_rng(seed)
+    side = np.stack([np.linspace(0.0, 10.0, n), np.zeros(n), np.zeros(n)], axis=1)
+    loop = np.concatenate([side[::-1] + [0.0, width, 0.0], side])
+    return loop + 0.02 * width * rng.normal(size=loop.shape)
+
+
+# ---------------------------------------------------------------------------
+# point-pair scan: radius deepening against the full triangle
+
+_triangle_max_ratio = distortion._max_ratio
+
+
+def triangle(c, params):
+    return _triangle_max_ratio(geom._points_at(c, params), params, c.total_len)
+
+
+def sample_params(c, n_samples):
+    """The parameter set of distortion_sampled(c, n_samples)."""
+    step = c.total_len / max(n_samples, 1)
+    params = np.concatenate([c.cum_len[: c.m], np.arange(n_samples) * step])
+    return params[params < c.total_len]
+
+
+def deepening(c, params, block_pairs=None, share=None):
+    """_curve_max_ratio, and the point counts it ran the triangle on.
+    block_pairs shrinks the blocks so that small inputs do not fit one;
+    share = inf keeps the scan from giving up."""
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        if block_pairs is not None:
+            mp.setattr(geom, "_BLOCK_BYTES", block_pairs * distortion._RATIO_PAIR_BYTES)
+        if share is not None:
+            mp.setattr(distortion, "_SCAN_SHARE", share)
+
+        def recorded(points, *args):
+            calls.append(len(points))
+            return _triangle_max_ratio(points, *args)
+
+        mp.setattr(distortion, "_max_ratio", recorded)
+        return distortion._curve_max_ratio(c, params), calls
+
+
+@given(
+    st.integers(10, 40),
+    st.integers(0, 150),
+    st.floats(0.05, 0.9),
+    st.floats(0.0, 0.5),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_deepening_matches_triangle_on_random_polygons(m, n_samples, amp, lift, seed):
+    verts = jittered_polygon(m, seed=seed, amp=amp)
+    verts[:, 2] = lift * np.random.default_rng(seed).normal(size=m)
+    c = build_polycurve(verts)
+    for params in (c.cum_len[: c.m], sample_params(c, n_samples)):
+        got, calls = deepening(c, params, block_pairs=64, share=math.inf)
+        assert got == triangle(c, params)
+        assert calls == []
+
+
+@pytest.mark.parametrize(
+    "verts",
+    [
+        thin_loop(30, 0.1, 0),
+        thin_loop(30, 0.1, 0) + np.array([1e8, -1e8, 1e8]),
+        thin_loop(50, 0.05, 1),
+    ],
+    ids=["thin", "thin-far", "thin-narrow"],
+)
+@pytest.mark.parametrize("n_samples", [0, 1024])
+def test_deepening_matches_triangle_on_thin_loops(verts, n_samples):
+    c = build_polycurve(verts)
+    params = sample_params(c, n_samples)
+    got, calls = deepening(c, params, block_pairs=64, share=math.inf)
+    assert got == triangle(c, params)
+    assert calls == []
+
+
+def test_deepening_exact_ties_and_samples_on_vertices(square):
+    # every vertex parameter is also a sample, and two opposite-edge
+    # midpoint pairs tie at exactly 2: the first in row-major order wins
+    params = sample_params(square, 400)
+    assert np.isin(square.cum_len[:4], params[4:]).all()
+    got, calls = deepening(square, params, block_pairs=64, share=math.inf)
+    assert got == triangle(square, params)
+    assert calls == []
+    ratio, i, j = got
+    assert ratio == 2.0 and (params[i], params[j]) == (0.5, 2.5)
+
+
+def test_deepening_sharp_corner_pair_on_adjacent_edges():
+    # a needle whose tip, vertex 1, has an angle of 0.01: the worst pair
+    # straddles the tip, one point on each edge at it
+    c = build_polycurve([[0, 0, 0], [10, 0.05, 0], [0, 0.1, 0], [-1, 0.05, 0]])
+    params = sample_params(c, 200)
+    got, calls = deepening(c, params, block_pairs=64, share=math.inf)
+    assert got == triangle(c, params)
+    assert calls == []
+    ratio, i, j = got
+    assert ratio > 50.0 and params[i] < c.cum_len[1] < params[j] < c.cum_len[2]
+
+
+def test_deepening_matches_triangle_on_b3_plat():
+    # the plat prunes: both scans finish without the triangle, and the
+    # vertex scan and distortion_sampled report the triangle's pair
+    c = build_plat(make_uniform_jm_spec(3, 13, 3))
+    w = distortion_sampled(c, 1024)
+    for params, got in (
+        (c.cum_len[: c.m], distortion._initial_vertex_scan(c)),
+        (sample_params(c, 1024), (w.ratio, w.s, w.t)),
+    ):
+        ratio, i, j = triangle(c, params)
+        assert deepening(c, params) == ((ratio, i, j), [])
+        assert got == (ratio, params[i], params[j])
+
+
+def test_near_round_loop_takes_the_triangle():
+    # 300 vertices fit one block; with 1024 samples they do not, but no
+    # pair can be pruned, so the scan gives up and runs the triangle
+    noise = 0.01 * np.random.default_rng(3).normal(size=(300, 3))
+    c = build_polycurve(regular_polygon(300) + noise)
+    for params, n in ((c.cum_len[: c.m], 300), (sample_params(c, 1024), 1324)):
+        got, calls = deepening(c, params)
+        assert got == triangle(c, params)
+        assert calls == [n]
 
 
 # ---------------------------------------------------------------------------
@@ -280,26 +412,18 @@ def test_certified_similarity_invariance_quick():
 
 
 def all_pairs_grid(c):
-    """The vertex scan's lo and the cell bound of every vertex-disjoint
-    edge pair, the initial grid of distortion_certified before it took
-    only near pairs."""
+    """The vertex scan's lo, and the cell bound and distance of every
+    vertex-disjoint edge pair: the initial grid of distortion_certified
+    before it took only near pairs."""
     m = c.m
     ii, jj = np.triu_indices(m, 2)
     keep = ~((ii == 0) & (jj == m - 1))
     ii, jj = ii[keep], jj[keep]
     cum = c.cum_len
     u = distortion._cell_upper(c, ii, jj, cum[ii], cum[ii + 1], cum[jj], cum[jj + 1])
-    return distortion._initial_vertex_scan(c)[0], u
-
-
-def thin_loop(n, width, seed):
-    """A loop around a 10 x width rectangle, n vertices a long side, with
-    out-of-plane noise: distortion about 10 / width, so only pairs about
-    width apart can beat it."""
-    rng = np.random.default_rng(seed)
-    side = np.stack([np.linspace(0.0, 10.0, n), np.zeros(n), np.zeros(n)], axis=1)
-    loop = np.concatenate([side[::-1] + [0.0, width, 0.0], side])
-    return loop + 0.02 * width * rng.normal(size=loop.shape)
+    D = c.edge_lens[:, None] * c.edge_dirs
+    d = geom._seg_seg_dist(c.vertices[ii], D[ii], c.vertices[jj], D[jj])
+    return distortion._initial_vertex_scan(c)[0], u, d
 
 
 @pytest.mark.parametrize(
@@ -320,7 +444,7 @@ def test_certified_grid_matches_all_pairs(verts, prunes, eps):
     # lo + eps; stopped before any bisection, the certificate must equal
     # one built from every pair
     c = build_polycurve(verts)
-    lo, u = all_pairs_grid(c)
+    lo, u, d = all_pairs_grid(c)
     alive = int((u > lo + eps).sum())
     hi = max(lo + eps, distortion._corner_sup(c), float(u.max()))
     cert = distortion_certified(c, eps=eps, max_expansions=0)
@@ -329,8 +453,12 @@ def test_certified_grid_matches_all_pairs(verts, prunes, eps):
     # fewer stops before the first bisection round, a budget of them runs it
     assert distortion_certified(c, eps=eps, max_expansions=alive - 1).cells == cert.cells
     assert distortion_certified(c, eps=eps, max_expansions=alive).cells == cert.cells + 2 * alive
-    # the thin loops leave most pairs unevaluated
-    assert (cert.cells < len(u) / 4) if prunes else (cert.cells == len(u))
+    # every pair within reach of lo + eps is a candidate (farther ones
+    # may be dropped unevaluated), and the thin loops leave most pairs out
+    near = int((d <= 0.5 * c.total_len / (lo + eps)).sum())
+    assert near <= cert.cells <= len(u)
+    if prunes:
+        assert cert.cells < len(u) / 4
 
 
 def test_certified_b3_plat_frozen():

@@ -22,7 +22,7 @@ from kdl.geom import (
     segment_min_distance,
     wrap_param,
 )
-from kdl.geom import _min_clearance_pair, _near_edge_pairs, _seg_seg_dist
+from kdl.geom import _SEG_PAIR_BYTES, _min_clearance_pair, _near_edge_pairs, _seg_seg_dist
 from kdl.plat import build_plat, make_uniform_jm_spec
 
 
@@ -320,7 +320,8 @@ def assert_near_pairs_cover(c, r, iu, ju, dist):
     # the enumerator's pairs are vertex-disjoint, i < j, each once, and hold
     # every pair at most r apart
     m = c.m
-    got = np.concatenate([np.empty(0, dtype=np.int64)] + [i * m + j for i, j in _near_edge_pairs(c, r)])
+    blocks = _near_edge_pairs(c, r, _SEG_PAIR_BYTES)
+    got = np.concatenate([np.empty(0, dtype=np.int64)] + [i * m + j for i, j in blocks])
     i, j = divmod(got, m)
     assert np.all(j >= i + 2) and not np.any((i == 0) & (j == m - 1))
     assert len(np.unique(got)) == len(got)
@@ -421,3 +422,45 @@ def test_json_precision():
     text = json.dumps(curve_to_json(c))
     c2 = curve_from_json(json.loads(text))
     assert np.array_equal(c.vertices, c2.vertices)
+
+
+def test_json_rejects_non_number_coordinates():
+    # numpy would read "0", "1e0", true and false as the unit square
+    rows = [["0", "0", "0"], [True, 0, 0], [1, "1e0", 0], [0, 1, False]]
+    with pytest.raises(DegenerateCurve):
+        curve_from_json({"closed": True, "vertices": rows})
+
+
+SQUARE_ROWS = [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]]
+# vertices 0..2 of the unit square: a polyline of length 2
+FITTING_TAG = {"kind": "vertical", "strand": 1, "range": [0, 2], "nominal_length": 2.0}
+FORGED_TAGS = {
+    "unknown-kind": {"kind": "spiral"},
+    "range-past-end": {"range": [5, 99999]},
+    "negative-range": {"range": [-1, 2]},
+    "empty-range": {"range": [2, 2]},
+    "infinite-length": {"nominal_length": math.inf},
+    "nan-length": {"nominal_length": math.nan},
+    "zero-length": {"nominal_length": 0.0},
+    "shorter-than-polyline": {"nominal_length": 1.5},
+    # a twist tag with no region, strand 7 and a nominal length of 1e9
+    "twist-far-out": {"kind": "twist", "strand": 7, "range": [5, 99999], "nominal_length": 1e9},
+}
+
+
+@pytest.mark.parametrize("change", FORGED_TAGS.values(), ids=FORGED_TAGS.keys())
+def test_json_rejects_forged_arc_tags(change):
+    assert curve_from_json({"closed": True, "vertices": SQUARE_ROWS, "arcs": [FITTING_TAG]}).arcs
+    with pytest.raises(DegenerateCurve):
+        curve_from_json(
+            {"closed": True, "vertices": SQUARE_ROWS, "arcs": [{**FITTING_TAG, **change}]}
+        )
+
+
+@pytest.mark.parametrize("b", [3, 4])
+def test_json_plat_roundtrip_keeps_arc_tags(b):
+    # every arc's nominal length is at least its polyline's, so all load
+    c = build_plat(make_uniform_jm_spec(b, 4 * b * (b - 2) + 1, 3))
+    c2 = curve_from_json(json.loads(json.dumps(curve_to_json(c))))
+    assert np.array_equal(c2.vertices, c.vertices)
+    assert c2.arcs == c.arcs
