@@ -34,7 +34,6 @@ from .geom import (
     _dot,
     _interior_angles,
     _min_clearance_pair,
-    _near_edge_pairs,
     _points_at,
     _row_blocks,
     _seg_seg_dist,
@@ -58,9 +57,12 @@ _MAX_EXPANSIONS = 5_000_000  # default bisection cap, the CLI's too
 # and a _cell_upper block (about ten 3-vector temporaries)
 _RATIO_PAIR_BYTES = 160
 _CELL_PAIR_BYTES = 400
-# share of the triangle's pairs _curve_max_ratio may visit before it runs
-# the triangle instead
-_SCAN_SHARE = 1 / 16
+# and a _descend block, its pending frontier included; a block's leaf
+# pairs then also fit the two kernels above
+_NODE_PAIR_BYTES = 512
+# the child pairs (2A + _CHILD_A, 2B + _CHILD_B) of a node pair (A, B)
+_CHILD_A = np.array([0, 0, 1, 1])
+_CHILD_B = np.array([0, 1, 0, 1])
 
 
 @dataclass(frozen=True)
@@ -82,12 +84,11 @@ class DistortionCertificate:
     ``lo`` is achieved by ``witness``; ``hi`` is a rigorous upper bound
     for the supremum.  ``cells`` counts every cell whose upper bound was
     evaluated: the candidate edge pairs of the initial grid plus all
-    bisection children.  The candidates are the edge pairs that pass the
-    spatial hash and the midpoint-distance prefilter of the pair
-    enumerator at the reach of ``lo + eps``; pairs ruled out there, too
-    far apart to beat ``lo + eps``, are not counted.  When
-    ``budget_exceeded`` is set the interval is still valid but may be
-    wider than ``eps``.
+    bisection children.  The candidates are the vertex-disjoint edge
+    pairs that the bounding-sphere descent keeps at ``lo + eps``; pairs
+    it rules out, whose arc bound over their gap cannot beat
+    ``lo + eps``, are not counted.  When ``budget_exceeded`` is set the
+    interval is still valid but may be wider than ``eps``.
     """
 
     lo: float
@@ -169,78 +170,129 @@ def _max_ratio(points: np.ndarray, params: np.ndarray, L: float):
     return best, bi, bj
 
 
-def _reach(c: PolyCurve, ratio: float) -> float:
-    """Distance beyond which no point pair of c has a ratio of at least
-    ``ratio`` (inf for ratio <= 0): no arc is longer than L/2.  The
-    relative margin covers rounding in a ratio, the absolute one
-    coordinates far from 0."""
-    if not ratio > 0.0:
-        return math.inf
-    r = 0.5 * c.total_len / ratio
-    return r + (1e-9 * r + 1e-12 * (1.0 + float(np.abs(c.vertices).max())))
+def _pad(c: PolyCurve) -> float:
+    """Absolute rounding margin for distances between points of c: the
+    coordinates, not the distances, set the size of the rounding."""
+    return 1e-12 * (1.0 + float(np.abs(c.vertices).max()))
+
+
+def _arc_tree(X: np.ndarray, S: np.ndarray, extra: int):
+    """Bounding spheres over runs of consecutive curve points, leaves first.
+
+    X holds points in parameter order and S their parameters.  Leaf k
+    holds X[k : k + 1 + extra]: with extra = 1 it is the edge from X[k]
+    to X[k + 1], which its sphere contains because it contains both
+    endpoints.  A node of level l holds the points of 2^l consecutive
+    leaves.  Each level is (centre, radius, S0, S1): the centre of the
+    node's bounding box, the largest distance from it to the node's
+    points, and the parameters of its first and last point.  The levels
+    stop at 16 nodes or fewer.
+    """
+    N = len(X) - extra
+    owner = np.arange(len(X))
+    levels = []
+    w = 1
+    while True:
+        starts = np.arange(0, N, w)
+        last = np.minimum(starts + w, N) + (extra - 1)
+        lo = np.minimum(np.minimum.reduceat(X, starts), X[last])
+        hi = np.maximum(np.maximum.reduceat(X, starts), X[last])
+        C = 0.5 * (lo + hi)
+        d = X - C[np.minimum(owner // w, len(starts) - 1)]
+        e = X[last] - C
+        R = np.maximum(np.maximum.reduceat(np.sqrt(_dot(d, d)), starts), np.sqrt(_dot(e, e)))
+        levels.append((C, R, S[starts], S[last]))
+        if len(starts) <= 16:
+            return levels
+        w *= 2
+
+
+def _descend(levels, L: float, t: float, pad: float):
+    """Blocks (a, b) of leaf pairs a <= b of the tree levels (from
+    _arc_tree over a loop of length L) that include every pair of
+    points, one in leaf a and one in leaf b, whose arc/chord ratio is at
+    least t (a dual-tree descent; Gray and Moore 2001).
+
+    For a node pair A <= B every member pair has s <= t' with s in
+    [S0[A], S1[A]] and t' in [S0[B], S1[B]], so its arc is at most
+    num = min(S1[B] - S0[A], L - (S0[B] - S1[A]), L/2), and its chord is
+    at least gap = |cA - cB| - rA - rB less pad, a margin for rounding
+    in the points and spheres.  A pair with num < t * gap (relative
+    margin 1e-9) is dropped; a kept pair splits into its child pairs
+    with A <= B.  Node pairs are taken in blocks of at most
+    _block_pairs(_NODE_PAIR_BYTES), depth first, so memory stays bounded.
+    """
+    step = _block_pairs(_NODE_PAIR_BYTES)
+    a, b = np.triu_indices(len(levels[-1][0]))
+    stack = [(len(levels) - 1, a, b)]
+    while stack:
+        lv, a, b = stack.pop()
+        if len(a) > step:
+            stack.append((lv, a[step:], b[step:]))
+            a, b = a[:step], b[:step]
+        C, R, S0, S1 = levels[lv]
+        diff = C[a] - C[b]
+        gap = np.sqrt(_dot(diff, diff)) - R[a] - R[b] - pad
+        num = np.minimum(np.minimum(S1[b] - S0[a], L - (S0[b] - S1[a])), 0.5 * L)
+        keep = (gap <= 0.0) | (num * (1.0 + 1e-9) >= t * gap)
+        a, b = a[keep], b[keep]
+        if not len(a):
+            continue
+        if lv == 0:
+            yield a, b
+            continue
+        ca, cb = 2 * a[:, None] + _CHILD_A, 2 * b[:, None] + _CHILD_B
+        ok = (ca <= cb) & (cb < len(levels[lv - 1][0]))
+        stack.append((lv - 1, ca[ok], cb[ok]))
 
 
 def _curve_max_ratio(c: PolyCurve, params: np.ndarray):
     """_max_ratio over the points of closed curve c at params, visiting
     only the pairs that can still beat the best ratio found.
 
-    A pair more than _reach(c, best) apart has a ratio below best.  The
-    points are grouped by the edge that holds them.  Pairs on one edge or
-    on two adjacent edges are evaluated directly; the others come from
-    the edge pairs _near_edge_pairs yields at radius r, from r = u0,
-    doubled (capped at the reach) until r covers the reach of the best
-    ratio.  Every pair that can tie the best is then visited, and ties
-    go to the first pair in row-major order of params, so the result is
-    the full triangle's.  The triangle runs instead when all pairs fit
-    in one block, and once the scan has visited _SCAN_SHARE of the
-    triangle's pairs: on a near-round loop no pair can be pruned, and
-    the rounds would only add up to more than the triangle.
+    The points, sorted by parameter, are the leaves of an _arc_tree.
+    best starts from each point's two partners half the loop away.  Each
+    round visits every pair _descend keeps at t = max((L/2)/u0 halved
+    once a round, best), and the rounds stop once best >= t.  Once the
+    halved value is 1 or less (no pair of distinct points has a ratio
+    below 1) t is best itself, so that round is the last.  Every pair
+    that can tie the best is then visited, and ties go to the first
+    pair in row-major order of params, so the result is the full
+    triangle's.  When all pairs fit in one block the triangle runs
+    instead.
     """
-    L, m, n = c.total_len, c.m, len(params)
+    L, n = c.total_len, len(params)
     points = _points_at(c, params)
     if (n - 1) ** 2 <= _block_pairs(_RATIO_PAIR_BYTES):
         return _max_ratio(points, params, L)
     order = np.argsort(params, kind="stable")
     ps, P = params[order], points[order]
-    edge = np.clip(np.searchsorted(c.cum_len, ps, side="right") - 1, 0, m - 1)
-    start = np.searchsorted(edge, np.arange(m + 1))  # edge e holds start[e]:start[e + 1]
-    count = np.diff(start)
     best = (-1.0, 0)  # (ratio, -(i * n + j)) with i < j indices into params
-    spare = _SCAN_SHARE * n * (n - 1) / 2
 
-    def visit(blocks) -> bool:
-        """Fold the pairs of blocks into best; False once over budget."""
-        nonlocal best, spare
-        for a, b in blocks:
-            spare -= len(a)
-            if spare < 0:
-                return False
-            ratio = _ratios(P[a], P[b], ps[a], ps[b], L)
-            top = float(ratio.max(initial=-np.inf))
-            if top >= best[0]:
-                k = np.flatnonzero(ratio == top)
-                i, j = order[a[k]], order[b[k]]
-                best = max(best, (top, -int((np.minimum(i, j) * n + np.maximum(i, j)).min())))
-        return True
+    def visit(a, b):
+        """Fold the pairs a[k], b[k] (indices into ps) into best."""
+        nonlocal best
+        ratio = _ratios(P[a], P[b], ps[a], ps[b], L)
+        top = float(ratio.max(initial=-np.inf))
+        if top >= best[0]:
+            k = np.flatnonzero(ratio == top)
+            i, j = order[a[k]], order[b[k]]
+            best = max(best, (top, -int((np.minimum(i, j) * n + np.maximum(i, j)).min())))
 
-    def on_edges(ei, ej):
-        """Blocks of the point pairs on edges ei[k] x ej[k]: one row per
-        point x on edge ei[k], over the points on edge ej[k]."""
-        for k, x in _row_blocks(np.arange(len(ei)), start[ei], count[ei], _RATIO_PAIR_BYTES):
-            yield from _row_blocks(x, start[ej[k]], count[ej[k]], _RATIO_PAIR_BYTES)
-
-    x, e = np.arange(n), np.arange(m)
-    ok = visit(_row_blocks(x, x + 1, start[edge + 1] - x - 1, _RATIO_PAIR_BYTES))
-    ok = ok and visit(on_edges(e, (e + 1) % m))
-    r = _u0(c)
-    while ok:
-        ok = all(visit(on_edges(ei, ej)) for ei, ej in _near_edge_pairs(c, r, _RATIO_PAIR_BYTES))
-        reach = _reach(c, best[0])
-        if r >= reach:
+    x = np.arange(n)
+    half = np.searchsorted(ps, (ps + 0.5 * L) % L)
+    for y in ((half - 1) % n, half % n):
+        visit(x[y != x], y[y != x])
+    levels, pad = _arc_tree(P, ps, 0), _pad(c)
+    u0 = _u0(c)
+    t = 0.5 * L / u0 if u0 > 0.0 else 0.0
+    while True:
+        t = max(t, best[0]) if t > 1.0 else max(best[0], 0.0)
+        for a, b in _descend(levels, L, t, pad):
+            visit(a[a < b], b[a < b])
+        if best[0] >= t:
             break
-        r = min(2.0 * r, reach) if r > 0.0 else reach
-    if not ok:
-        return _max_ratio(points, params, L)
+        t *= 0.5
     i, j = divmod(-best[1], n)
     return best[0], int(i), int(j)
 
@@ -392,8 +444,9 @@ def distortion_certified(
 
     The initial cells are the unordered pairs of edges sharing no vertex,
     each taken as a full parameter rectangle.  A cell whose upper bound
-    is at most lo + eps is discarded, as is, unevaluated, every pair more
-    than (L/2) / (lo + eps) apart.  Survivors are bisected along their
+    is at most lo + eps is discarded, as is, unevaluated, every pair of
+    edge runs whose longest arc over the gap between their bounding
+    spheres is at most lo + eps.  Survivors are bisected along their
     longer parameter side, and the fresh corner/midpoint pairs feed the
     sampled lower bound.  On normal termination the reported interval is
     [lo, max(lo + eps, analytic corner sup)], which always contains the
@@ -419,11 +472,16 @@ def distortion_certified(
     corner_hi = _corner_sup(c)
     floor_pruned_hi = 0.0
 
-    # initial cell grid: a cell's numerator is at most L/2, so edges
-    # further apart than the reach of lo + eps give u <= lo + eps
+    # initial cell grid: a cell's bound has the numerator of its leaf
+    # pair in the descent over a denominator of at least its gap, so the
+    # descent at lo + eps keeps every cell that can beat lo + eps
+    V, m = c.vertices, c.m
+    levels = _arc_tree(np.concatenate([V, V[:1]]), c.cum_len, 1)
     survivors = [(np.empty(0, dtype=np.int64),) * 2 + (np.empty(0),)]
     cells_seen = 0
-    for ii, jj in _near_edge_pairs(c, _reach(c, lo + eps), _CELL_PAIR_BYTES):
+    for ii, jj in _descend(levels, L, lo + eps, _pad(c)):
+        keep = (jj > ii + 1) & ~((ii == 0) & (jj == m - 1))
+        ii, jj = ii[keep], jj[keep]
         cells_seen += len(ii)
         u = _cell_upper(c, ii, jj, c.cum_len[ii], c.cum_len[ii + 1], c.cum_len[jj], c.cum_len[jj + 1])
         survivors.append(tuple(a[u > lo + eps] for a in (ii, jj, u)))

@@ -296,7 +296,9 @@ def _near_edge_pairs(c: PolyCurve, r: float, pair_bytes: int):
     """Blocks (i, j) of vertex-disjoint edge pairs, i < j, each pair once,
     that include every pair at most r apart (a uniform spatial hash;
     Teschner et al. 2003).  Blocks are sized for a caller that spends
-    pair_bytes of working memory on each pair.
+    pair_bytes of working memory on each pair.  Clearance, at r = u0, is
+    the one caller: the distortion scans bound a pair by its arc over its
+    gap (distortion._descend), which no radius expresses.
 
     Every edge is split, for binning only, into ceil(len / h) equal pieces
     with h = max(L / m, r); since the lengths sum to L that makes fewer
@@ -364,9 +366,9 @@ def _near_edge_pairs(c: PolyCurve, r: float, pair_bytes: int):
 
 
 def _u0(c: PolyCurve) -> float:
-    """Smallest distance between edges i and i + 2, the radius the
-    clearance and point-pair scans start from; for m >= 4 it bounds the
-    clearance from above."""
+    """Smallest distance between edges i and i + 2: the radius clearance
+    searches within, and as (L/2)/u0 the ratio the point-pair scan starts
+    from; for m >= 4 it bounds the clearance from above."""
     V = c.vertices
     D = c.edge_lens[:, None] * c.edge_dirs
     skip = (np.arange(c.m) + 2) % c.m

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import jittered_polygon, random_rotation, regular_polygon
@@ -169,7 +169,7 @@ def thin_loop(n, width, seed):
 
 
 # ---------------------------------------------------------------------------
-# point-pair scan: radius deepening against the full triangle
+# point-pair scan against the full triangle
 
 _triangle_max_ratio = distortion._max_ratio
 
@@ -185,16 +185,13 @@ def sample_params(c, n_samples):
     return params[params < c.total_len]
 
 
-def deepening(c, params, block_pairs=None, share=None):
+def deepening(c, params, block_pairs=None):
     """_curve_max_ratio, and the point counts it ran the triangle on.
-    block_pairs shrinks the blocks so that small inputs do not fit one;
-    share = inf keeps the scan from giving up."""
+    block_pairs shrinks the blocks so that small inputs do not fit one."""
     calls = []
     with pytest.MonkeyPatch.context() as mp:
         if block_pairs is not None:
             mp.setattr(geom, "_BLOCK_BYTES", block_pairs * distortion._RATIO_PAIR_BYTES)
-        if share is not None:
-            mp.setattr(distortion, "_SCAN_SHARE", share)
 
         def recorded(points, *args):
             calls.append(len(points))
@@ -217,7 +214,7 @@ def test_deepening_matches_triangle_on_random_polygons(m, n_samples, amp, lift, 
     verts[:, 2] = lift * np.random.default_rng(seed).normal(size=m)
     c = build_polycurve(verts)
     for params in (c.cum_len[: c.m], sample_params(c, n_samples)):
-        got, calls = deepening(c, params, block_pairs=64, share=math.inf)
+        got, calls = deepening(c, params, block_pairs=64)
         assert got == triangle(c, params)
         assert calls == []
 
@@ -235,7 +232,7 @@ def test_deepening_matches_triangle_on_random_polygons(m, n_samples, amp, lift, 
 def test_deepening_matches_triangle_on_thin_loops(verts, n_samples):
     c = build_polycurve(verts)
     params = sample_params(c, n_samples)
-    got, calls = deepening(c, params, block_pairs=64, share=math.inf)
+    got, calls = deepening(c, params, block_pairs=64)
     assert got == triangle(c, params)
     assert calls == []
 
@@ -245,7 +242,7 @@ def test_deepening_exact_ties_and_samples_on_vertices(square):
     # midpoint pairs tie at exactly 2: the first in row-major order wins
     params = sample_params(square, 400)
     assert np.isin(square.cum_len[:4], params[4:]).all()
-    got, calls = deepening(square, params, block_pairs=64, share=math.inf)
+    got, calls = deepening(square, params, block_pairs=64)
     assert got == triangle(square, params)
     assert calls == []
     ratio, i, j = got
@@ -257,7 +254,7 @@ def test_deepening_sharp_corner_pair_on_adjacent_edges():
     # straddles the tip, one point on each edge at it
     c = build_polycurve([[0, 0, 0], [10, 0.05, 0], [0, 0.1, 0], [-1, 0.05, 0]])
     params = sample_params(c, 200)
-    got, calls = deepening(c, params, block_pairs=64, share=math.inf)
+    got, calls = deepening(c, params, block_pairs=64)
     assert got == triangle(c, params)
     assert calls == []
     ratio, i, j = got
@@ -278,15 +275,27 @@ def test_deepening_matches_triangle_on_b3_plat():
         assert got == (ratio, params[i], params[j])
 
 
-def test_near_round_loop_takes_the_triangle():
-    # 300 vertices fit one block; with 1024 samples they do not, but no
-    # pair can be pruned, so the scan gives up and runs the triangle
+def test_near_round_loop_prunes():
+    # 300 vertices fit one block and take the triangle; with 1024 samples
+    # they do not, and although no pair lies beyond the reach of the best
+    # ratio, the descent drops the pairs whose arc is short for their gap
     noise = 0.01 * np.random.default_rng(3).normal(size=(300, 3))
     c = build_polycurve(regular_polygon(300) + noise)
-    for params, n in ((c.cum_len[: c.m], 300), (sample_params(c, 1024), 1324)):
+    for params, want in ((c.cum_len[: c.m], [300]), (sample_params(c, 1024), [])):
         got, calls = deepening(c, params)
         assert got == triangle(c, params)
-        assert calls == [n]
+        assert calls == want
+
+
+def test_long_edges_holding_many_samples_prune():
+    # edges 0.34 long hold some 70 samples each, and only pairs about
+    # 0.1 apart can beat the best ratio: the scan prunes point pairs,
+    # not edge pairs, so it never needs the triangle
+    c = build_polycurve(thin_loop(30, 0.1, 0))
+    params = sample_params(c, 4096)
+    got, calls = deepening(c, params)
+    assert got == triangle(c, params)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -412,26 +421,24 @@ def test_certified_similarity_invariance_quick():
 
 
 def all_pairs_grid(c):
-    """The vertex scan's lo, and the cell bound and distance of every
-    vertex-disjoint edge pair: the initial grid of distortion_certified
-    before it took only near pairs."""
+    """The vertex scan's lo, and every vertex-disjoint edge pair i < j
+    with its cell bound: the initial grid of distortion_certified before
+    it took only near pairs."""
     m = c.m
     ii, jj = np.triu_indices(m, 2)
     keep = ~((ii == 0) & (jj == m - 1))
     ii, jj = ii[keep], jj[keep]
     cum = c.cum_len
     u = distortion._cell_upper(c, ii, jj, cum[ii], cum[ii + 1], cum[jj], cum[jj + 1])
-    D = c.edge_lens[:, None] * c.edge_dirs
-    d = geom._seg_seg_dist(c.vertices[ii], D[ii], c.vertices[jj], D[jj])
-    return distortion._initial_vertex_scan(c)[0], u, d
+    return distortion._initial_vertex_scan(c)[0], ii, jj, u
 
 
 @pytest.mark.parametrize(
     "verts, prunes",
     [
         (jittered_polygon(10, seed=8), False),
-        (jittered_polygon(40, seed=5, amp=0.3), False),
-        (regular_polygon(64) + 0.01 * np.random.default_rng(2).normal(size=(64, 3)), False),
+        (jittered_polygon(40, seed=5, amp=0.3), True),
+        (regular_polygon(64) + 0.01 * np.random.default_rng(2).normal(size=(64, 3)), True),
         (thin_loop(30, 0.1, 0), True),
         (thin_loop(30, 0.1, 0) + np.array([1e8, -1e8, 1e8]), True),
         (thin_loop(50, 0.05, 1), True),
@@ -440,11 +447,11 @@ def all_pairs_grid(c):
 )
 @pytest.mark.parametrize("eps", [0.05, 1e-3])
 def test_certified_grid_matches_all_pairs(verts, prunes, eps):
-    # the initial grid evaluates only the edge pairs near enough to beat
-    # lo + eps; stopped before any bisection, the certificate must equal
-    # one built from every pair
+    # the initial grid evaluates only the edge pairs whose arc over
+    # their gap can beat lo + eps; stopped before any bisection, the
+    # certificate must equal one built from every pair
     c = build_polycurve(verts)
-    lo, u, d = all_pairs_grid(c)
+    lo, _, _, u = all_pairs_grid(c)
     alive = int((u > lo + eps).sum())
     hi = max(lo + eps, distortion._corner_sup(c), float(u.max()))
     cert = distortion_certified(c, eps=eps, max_expansions=0)
@@ -453,10 +460,10 @@ def test_certified_grid_matches_all_pairs(verts, prunes, eps):
     # fewer stops before the first bisection round, a budget of them runs it
     assert distortion_certified(c, eps=eps, max_expansions=alive - 1).cells == cert.cells
     assert distortion_certified(c, eps=eps, max_expansions=alive).cells == cert.cells + 2 * alive
-    # every pair within reach of lo + eps is a candidate (farther ones
-    # may be dropped unevaluated), and the thin loops leave most pairs out
-    near = int((d <= 0.5 * c.total_len / (lo + eps)).sum())
-    assert near <= cert.cells <= len(u)
+    # every pair that beats lo + eps is a candidate (the others may be
+    # dropped unevaluated), and all but the smallest curve leave most
+    # pairs out
+    assert alive <= cert.cells <= len(u)
     if prunes:
         assert cert.cells < len(u) / 4
 
@@ -494,3 +501,117 @@ def test_certified_helix_with_return_path():
     s_len = want  # strand arc length: unit drop times the ratio bound
     assert 0.0 <= cert.witness.s <= s_len
     assert 0.0 <= cert.witness.t <= s_len
+
+
+# ---------------------------------------------------------------------------
+# arc-over-gap descent
+
+def random_curve(m, seed, amp, lift, scale, shift):
+    """A jittered m-gon lifted out of the plane, scaled and shifted."""
+    verts = jittered_polygon(m, seed=seed, amp=amp)
+    verts[:, 2] = lift * np.random.default_rng(seed).normal(size=m)
+    return build_polycurve(scale * verts + shift)
+
+
+random_curves = st.builds(
+    random_curve,
+    st.integers(5, 40),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.05, 0.9),
+    st.floats(0.05, 0.5),
+    st.sampled_from([1.0, 1e-3, 1e3]),
+    st.sampled_from([0.0, 1e8]),
+)
+
+
+def descended(levels, c, t):
+    """Every leaf pair _descend keeps at t, as a set."""
+    return set(block_pairs(distortion._descend(levels, c.total_len, t, distortion._pad(c))))
+
+
+@given(random_curves, st.floats(0.0, 1.0))
+@settings(max_examples=40, deadline=None)
+def test_descent_keeps_every_cell_above_t(c, q):
+    # t is the float just below one of the finite cell bounds, so that
+    # cell beats it by the least margin there is; every vertex-disjoint
+    # edge pair whose bound exceeds t must be a kept leaf pair
+    _, ii, jj, u = all_pairs_grid(c)
+    finite = np.sort(u[np.isfinite(u)])
+    t = float(np.nextafter(finite[int(q * (len(finite) - 1))], -np.inf))
+    V = c.vertices
+    levels = distortion._arc_tree(np.concatenate([V, V[:1]]), c.cum_len, 1)
+    got = descended(levels, c, t)
+    assert {(i, j) for i, j in zip(ii[u > t], jj[u > t])} <= got
+
+
+@given(random_curves, st.integers(0, 120), st.floats(0.0, 1.0))
+@settings(max_examples=40, deadline=None)
+def test_descent_keeps_every_point_pair_at_t(c, n_samples, q):
+    # t is one of the pair ratios, so pairs equal to it must be kept too
+    params = np.sort(sample_params(c, n_samples))
+    P = geom._points_at(c, params)
+    i, j = np.triu_indices(len(params), 1)
+    r = distortion._ratios(P[i], P[j], params[i], params[j], c.total_len)
+    t = float(np.sort(r)[int(q * (len(r) - 1))])
+    levels = distortion._arc_tree(P, params, 0)
+    got = descended(levels, c, t)
+    assert {(a, b) for a, b in zip(i[r >= t], j[r >= t])} <= got
+
+
+@given(random_curves, st.sampled_from([0.05, 1e-3]))
+@settings(max_examples=25, deadline=None)
+def test_descent_grid_certificate_matches_all_pairs(c, eps):
+    assume(geom.min_clearance(c) > 0.0)
+    lo, _, _, u = all_pairs_grid(c)
+    hi = max(lo + eps, distortion._corner_sup(c), float(u.max(initial=0.0)))
+    cert = distortion_certified(c, eps=eps, max_expansions=0)
+    assert (cert.lo, cert.hi, cert.budget_exceeded) == (lo, hi, bool((u > lo + eps).any()))
+
+
+def spy_descent(monkeypatch):
+    """Record the block sizes of every _descend call, a list per call."""
+    calls = []
+    descend = distortion._descend
+
+    def recorded(*args):
+        calls.append([])
+        for blk in descend(*args):
+            calls[-1].append(len(blk[0]))
+            yield blk
+
+    monkeypatch.setattr(distortion, "_descend", recorded)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: build_polycurve(regular_polygon(2048) + 0.01 * np.random.default_rng(4).normal(size=(2048, 3))),
+        lambda: build_plat(make_uniform_jm_spec(3, 13, 3)),
+    ],
+    ids=["round", "b3-plat"],
+)
+def test_descent_in_small_blocks_matches(monkeypatch, make):
+    # with blocks of 1,000 node pairs the frontier and the kept leaf
+    # pairs span several blocks; the results do not move
+    c = make()
+
+    def grid():
+        g = distortion_certified(c, eps=0.05, max_expansions=0)
+        return g.lo, g.hi, g.witness, g.budget_exceeded
+
+    def sampled():
+        w = distortion_sampled(c, 1024)
+        return w.ratio, w.s, w.t
+
+    runs = (grid, sampled, lambda: distortion._initial_vertex_scan(c))
+    want = [run() for run in runs]
+    monkeypatch.setattr(geom, "_BLOCK_BYTES", 1000 * distortion._NODE_PAIR_BYTES)
+    calls = spy_descent(monkeypatch)
+    for run, value in zip(runs, want):
+        calls.clear()
+        assert run() == value
+        # a certified call's last descent is the grid's
+        several = len(calls[-1]) if run is grid else max(map(len, calls))
+        assert several > 1
+        assert max(max(blocks, default=0) for blocks in calls) <= 1000

@@ -30,12 +30,16 @@ from kdl.plat import build_plat, make_uniform_jm_spec
 # oracles
 
 def seg_dist_oracle(p1, p2, q1, q2):
-    """Dense grid over both parameters, then local refinement.
+    """Dense grid over both parameters, then local refinement, plus a 1-D
+    search along each side of the parameter square: the squared distance
+    is convex, so its minimum is interior or on a side, and L-BFGS-B alone
+    can stall short of a side minimum in a long, thin valley (near-parallel
+    segments).
 
     Good to ~1e-9 on unit-scale segments; used to cross-check the
     closed-form segment distance on random inputs.
     """
-    from scipy.optimize import minimize
+    from scipy.optimize import minimize, minimize_scalar
 
     p1, p2, q1, q2 = (np.asarray(v, dtype=float) for v in (p1, p2, q1, q2))
     d1, d2 = p2 - p1, q2 - q1
@@ -55,7 +59,12 @@ def seg_dist_oracle(p1, p2, q1, q2):
         if vals[k] < best:
             best, best_x = float(vals[k]), (float(s), float(grid[k]))
     res = minimize(f, best_x, bounds=[(0.0, 1.0), (0.0, 1.0)], method="L-BFGS-B")
-    return math.sqrt(min(best, float(res.fun)))
+    best = min(best, float(res.fun))
+    for side in (lambda u: (0.0, u), lambda u: (1.0, u), lambda u: (u, 0.0), lambda u: (u, 1.0)):
+        r = minimize_scalar(lambda u: f(side(u)), bounds=(0.0, 1.0), method="bounded",
+                            options={"xatol": 1e-12})
+        best = min(best, float(r.fun))
+    return math.sqrt(best)
 
 
 def clearance_oracle(verts):
