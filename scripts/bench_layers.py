@@ -12,7 +12,9 @@ of 2,048 vertices (a unit circle whose radius and height carry Fourier
 modes 2..4, certified at eps = 1e-3).  Each input runs in a fresh
 process, which calls its layers once each, in this order: the build
 (``build_plat``, or ``build_polycurve`` for the loop), clearance
-(``min_clearance``), ``distortion_sampled(curve, 1024)``, the vertex scan
+(``geom._closest_edges``, the computation ``min_clearance`` caches per
+curve, so the layer times it even when the build already has),
+``distortion_sampled(curve, 1024)``, the vertex scan
 (``distortion._initial_vertex_scan``) and ``distortion_certified``.
 
 Each record is one layer of one input: its wall time in seconds and the
@@ -47,9 +49,9 @@ from kdl import (  # noqa: E402
     distortion_certified,
     distortion_sampled,
     make_uniform_jm_spec,
-    min_clearance,
 )
 from kdl.distortion import _initial_vertex_scan  # noqa: E402
+from kdl.geom import _closest_edges  # noqa: E402
 
 PLAT_BS = (3, 4, 5, 6)
 PLAT_EPS = 0.05
@@ -96,7 +98,7 @@ def measure(name: str) -> list[dict]:
         spec = make_uniform_jm_spec(b, 4 * b * (b - 2) + 1, 3)
         curve = layer("build", lambda: build_plat(spec), lambda c: {"call": "build_plat", "m": c.m})
         eps = PLAT_EPS
-    layer("clearance", lambda: min_clearance(curve), lambda d: {"alpha": d})
+    layer("clearance", lambda: _closest_edges(curve), lambda d: {"alpha": d[0]})
     layer("distortion_sampled", lambda: distortion_sampled(curve, SAMPLES),
           lambda w: {"ratio": w.ratio, "witness": [w.s, w.t]})
     layer("initial_vertex_scan", lambda: _initial_vertex_scan(curve),

@@ -30,10 +30,14 @@ import numpy as np
 from .errors import DegenerateCurve, NotEmbedded, OutOfRange
 from .geom import (
     PolyCurve,
+    _arc_tree,
     _block_pairs,
+    _descend,
     _dot,
+    _edge_pairs,
     _interior_angles,
     _min_clearance_pair,
+    _pad,
     _points_at,
     _row_blocks,
     _seg_seg_dist,
@@ -57,12 +61,6 @@ _MAX_EXPANSIONS = 5_000_000  # default bisection cap, the CLI's too
 # and a _cell_upper block (about ten 3-vector temporaries)
 _RATIO_PAIR_BYTES = 160
 _CELL_PAIR_BYTES = 400
-# and a _descend block, its pending frontier included; a block's leaf
-# pairs then also fit the two kernels above
-_NODE_PAIR_BYTES = 512
-# the child pairs (2A + _CHILD_A, 2B + _CHILD_B) of a node pair (A, B)
-_CHILD_A = np.array([0, 0, 1, 1])
-_CHILD_B = np.array([0, 1, 0, 1])
 
 
 @dataclass(frozen=True)
@@ -170,80 +168,26 @@ def _max_ratio(points: np.ndarray, params: np.ndarray, L: float):
     return best, bi, bj
 
 
-def _pad(c: PolyCurve) -> float:
-    """Absolute rounding margin for distances between points of c: the
-    coordinates, not the distances, set the size of the rounding."""
-    return 1e-12 * (1.0 + float(np.abs(c.vertices).max()))
-
-
-def _arc_tree(X: np.ndarray, S: np.ndarray, extra: int):
-    """Bounding spheres over runs of consecutive curve points, leaves first.
-
-    X holds points in parameter order and S their parameters.  Leaf k
-    holds X[k : k + 1 + extra]: with extra = 1 it is the edge from X[k]
-    to X[k + 1], which its sphere contains because it contains both
-    endpoints.  A node of level l holds the points of 2^l consecutive
-    leaves.  Each level is (centre, radius, S0, S1): the centre of the
-    node's bounding box, the largest distance from it to the node's
-    points, and the parameters of its first and last point.  The levels
-    stop at 16 nodes or fewer.
-    """
-    N = len(X) - extra
-    owner = np.arange(len(X))
-    levels = []
-    w = 1
-    while True:
-        starts = np.arange(0, N, w)
-        last = np.minimum(starts + w, N) + (extra - 1)
-        lo = np.minimum(np.minimum.reduceat(X, starts), X[last])
-        hi = np.maximum(np.maximum.reduceat(X, starts), X[last])
-        C = 0.5 * (lo + hi)
-        d = X - C[np.minimum(owner // w, len(starts) - 1)]
-        e = X[last] - C
-        R = np.maximum(np.maximum.reduceat(np.sqrt(_dot(d, d)), starts), np.sqrt(_dot(e, e)))
-        levels.append((C, R, S[starts], S[last]))
-        if len(starts) <= 16:
-            return levels
-        w *= 2
-
-
-def _descend(levels, L: float, t: float, pad: float):
-    """Blocks (a, b) of leaf pairs a <= b of the tree levels (from
-    _arc_tree over a loop of length L) that include every pair of
-    points, one in leaf a and one in leaf b, whose arc/chord ratio is at
-    least t (a dual-tree descent; Gray and Moore 2001).
+def _arc_keep(c: PolyCurve, t: float):
+    """_descend's keep test for pairs of points of c whose arc/chord ratio
+    is at least t.
 
     For a node pair A <= B every member pair has s <= t' with s in
     [S0[A], S1[A]] and t' in [S0[B], S1[B]], so its arc is at most
     num = min(S1[B] - S0[A], L - (S0[B] - S1[A]), L/2), and its chord is
-    at least gap = |cA - cB| - rA - rB less pad, a margin for rounding
-    in the points and spheres.  A pair with num < t * gap (relative
-    margin 1e-9) is dropped; a kept pair splits into its child pairs
-    with A <= B.  Node pairs are taken in blocks of at most
-    _block_pairs(_NODE_PAIR_BYTES), depth first, so memory stays bounded.
+    at least the gap between the spheres less _pad, a margin for
+    rounding in the points and spheres.  A pair is kept while the gap is
+    not positive or num >= t * gap (relative margin 1e-9).
     """
-    step = _block_pairs(_NODE_PAIR_BYTES)
-    a, b = np.triu_indices(len(levels[-1][0]))
-    stack = [(len(levels) - 1, a, b)]
-    while stack:
-        lv, a, b = stack.pop()
-        if len(a) > step:
-            stack.append((lv, a[step:], b[step:]))
-            a, b = a[:step], b[:step]
-        C, R, S0, S1 = levels[lv]
-        diff = C[a] - C[b]
-        gap = np.sqrt(_dot(diff, diff)) - R[a] - R[b] - pad
+    L, pad = c.total_len, _pad(c)
+
+    def keep(gap, level, a, b):
+        _, _, S0, S1 = level
+        gap = gap - pad
         num = np.minimum(np.minimum(S1[b] - S0[a], L - (S0[b] - S1[a])), 0.5 * L)
-        keep = (gap <= 0.0) | (num * (1.0 + 1e-9) >= t * gap)
-        a, b = a[keep], b[keep]
-        if not len(a):
-            continue
-        if lv == 0:
-            yield a, b
-            continue
-        ca, cb = 2 * a[:, None] + _CHILD_A, 2 * b[:, None] + _CHILD_B
-        ok = (ca <= cb) & (cb < len(levels[lv - 1][0]))
-        stack.append((lv - 1, ca[ok], cb[ok]))
+        return (gap <= 0.0) | (num * (1.0 + 1e-9) >= t * gap)
+
+    return keep
 
 
 def _curve_max_ratio(c: PolyCurve, params: np.ndarray):
@@ -283,12 +227,12 @@ def _curve_max_ratio(c: PolyCurve, params: np.ndarray):
     half = np.searchsorted(ps, (ps + 0.5 * L) % L)
     for y in ((half - 1) % n, half % n):
         visit(x[y != x], y[y != x])
-    levels, pad = _arc_tree(P, ps, 0), _pad(c)
+    levels = _arc_tree(P, ps, 0)
     u0 = _u0(c)
     t = 0.5 * L / u0 if u0 > 0.0 else 0.0
     while True:
         t = max(t, best[0]) if t > 1.0 else max(best[0], 0.0)
-        for a, b in _descend(levels, L, t, pad):
+        for a, b in _descend(levels, _arc_keep(c, t)):
             visit(a[a < b], b[a < b])
         if best[0] >= t:
             break
@@ -475,13 +419,9 @@ def distortion_certified(
     # initial cell grid: a cell's bound has the numerator of its leaf
     # pair in the descent over a denominator of at least its gap, so the
     # descent at lo + eps keeps every cell that can beat lo + eps
-    V, m = c.vertices, c.m
-    levels = _arc_tree(np.concatenate([V, V[:1]]), c.cum_len, 1)
     survivors = [(np.empty(0, dtype=np.int64),) * 2 + (np.empty(0),)]
     cells_seen = 0
-    for ii, jj in _descend(levels, L, lo + eps, _pad(c)):
-        keep = (jj > ii + 1) & ~((ii == 0) & (jj == m - 1))
-        ii, jj = ii[keep], jj[keep]
+    for ii, jj in _edge_pairs(c, _arc_keep(c, lo + eps)):
         cells_seen += len(ii)
         u = _cell_upper(c, ii, jj, c.cum_len[ii], c.cum_len[ii + 1], c.cum_len[jj], c.cum_len[jj + 1])
         survivors.append(tuple(a[u > lo + eps] for a in (ii, jj, u)))

@@ -17,10 +17,10 @@ Conventions
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -72,11 +72,18 @@ class PolyCurve:
     def __len__(self) -> int:
         return len(self.vertices)
 
+    @cached_property
+    def _clearance(self):
+        """_closest_edges(self), computed on first use; the vertices are
+        read-only, so it never goes stale.  cached_property writes the
+        instance __dict__, which a frozen dataclass leaves writable."""
+        return _closest_edges(self)
+
 
 def _as_vertex_array(points) -> np.ndarray:
     try:
         arr = np.asarray(points, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DegenerateCurve(f"vertices are not an (m, 3) array of numbers: {exc}")
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise DegenerateCurve(f"expected an (m, 3) vertex array, got shape {arr.shape}")
@@ -212,12 +219,14 @@ def _interior_angles(V: np.ndarray) -> np.ndarray:
 def _seg_seg_dist(p1, d1, p2, d2):
     """Minimum distance between segment batches  p1 + s*d1  and  p2 + t*d2.
 
-    Clamped coordinate descent on the convex quadratic.  The opening move
-    uses the joint interior formula, so interior minima are hit exactly;
-    clamped cases settle onto their active edge within a couple of
-    alternations, and each alternation is an exact 1-D minimization, so
-    four rounds land on the constrained minimum to machine precision.
-    Degenerate (zero-length) inputs collapse to point-segment problems.
+    Clamped coordinate descent on the convex quadratic: the joint interior
+    formula, then four alternating exact 1-D minimizations; degenerate
+    (zero-length) inputs collapse to point-segment problems.  The result
+    is the distance of two points on the segments, so up to rounding
+    never below the true minimum, but not exact: on nearly parallel
+    segments it can stop above the smallest endpoint-to-segment distance,
+    by up to 2.2e-7 relative over 20,000 random near-parallel pairs (numpy
+    seed 0).  ROADMAP item 2 replaces it with the closed form.
     """
     a = _dot(d1, d1)
     e = _dot(d2, d2)
@@ -246,8 +255,10 @@ def _seg_seg_dist(p1, d1, p2, d2):
 def segment_min_distance(a0, a1, b0, b1) -> float:
     """Minimum distance between segments [a0, a1] and [b0, b1].
 
-    Accepts any array-likes of shape (3,).  Exact for parallel, collinear,
-    touching and degenerate inputs.
+    Accepts any array-likes of shape (3,).  Computed by _seg_seg_dist, so
+    up to rounding never below the true minimum, but not exact: on nearly
+    parallel segments it can lie above it, by up to some 2e-7 relative
+    (see ROADMAP item 2).
     """
     a0, a1, b0, b1 = (np.asarray(p, dtype=float) for p in (a0, a1, b0, b1))
     return float(
@@ -257,20 +268,15 @@ def segment_min_distance(a0, a1, b0, b1) -> float:
     )
 
 
-def _distinct(x: np.ndarray) -> np.ndarray:
-    """Sorted distinct values of an int64 array.  np.unique hashes integer
-    input, which is some 30x slower on widely spread keys than a sort."""
-    x = np.sort(x)
-    return x[np.diff(x, prepend=x[:1] - 1) != 0]
-
-
-# (0, 0, 0) and one of each +-pair of the 26 neighbour offsets: stepping
-# from every bin by these meets each unordered pair of touching bins once.
-_HALF_OFFSETS = np.array([o for o in itertools.product((-1, 0, 1), repeat=3) if o >= (0, 0, 0)])
 # working memory of one block in every chunked pair scan; each caller
 # states its own bytes per pair, so heavy kernels take fewer pairs a block
 _BLOCK_BYTES = 64 << 20
-_SEG_PAIR_BYTES = 288  # a _seg_seg_dist block, indices included
+# a _descend block, its pending frontier included; a block's leaf pairs
+# then also fit the segment-distance, ratio and cell kernels
+_NODE_PAIR_BYTES = 512
+# the child pairs (2A + _CHILD_A, 2B + _CHILD_B) of a node pair (A, B)
+_CHILD_A = np.array([0, 0, 1, 1])
+_CHILD_B = np.array([0, 1, 0, 1])
 
 
 def _block_pairs(pair_bytes: int) -> int:
@@ -292,77 +298,88 @@ def _row_blocks(x: np.ndarray, first: np.ndarray, lens: np.ndarray, pair_bytes: 
         )
 
 
-def _near_edge_pairs(c: PolyCurve, r: float, pair_bytes: int):
-    """Blocks (i, j) of vertex-disjoint edge pairs, i < j, each pair once,
-    that include every pair at most r apart (a uniform spatial hash;
-    Teschner et al. 2003).  Blocks are sized for a caller that spends
-    pair_bytes of working memory on each pair.  Clearance, at r = u0, is
-    the one caller: the distortion scans bound a pair by its arc over its
-    gap (distortion._descend), which no radius expresses.
+def _pad(c: PolyCurve) -> float:
+    """Absolute rounding margin for distances between points of c: the
+    coordinates, not the distances, set the size of the rounding."""
+    return 1e-12 * (1.0 + float(np.abs(c.vertices).max()))
 
-    Every edge is split, for binning only, into ceil(len / h) equal pieces
-    with h = max(L / m, r); since the lengths sum to L that makes fewer
-    than 2m pieces, none longer than h.  Piece midpoints are binned on a
-    grid of cell r + h_max (h_max the longest piece).  If edges i and j
-    are d <= r apart, at points p and q, the pieces holding p and q have
-    midpoints at most d + h_max apart (each midpoint lies within half its
-    piece of p or q), so they sit in touching bins and the pair is a
-    candidate.  Piece pairs are expanded from bin pairs in row blocks,
-    mapped to their owner edges, and adjacent and seam pairs dropped, as
-    is every pair whose edge midpoints lie further apart than r plus both
-    half-lengths (such edges are more than r apart).  A margin of
-    1e-12 * (1 + the largest |coordinate|) covers rounding in the
-    midpoints, the half-lengths and the distances.  An edge cut into
-    several pieces can meet another edge through several piece pairs, so
-    when any edge was cut the pairs are deduplicated and come sorted by
-    (i, j)."""
+
+def _arc_tree(X: np.ndarray, S: np.ndarray, extra: int):
+    """Bounding spheres over runs of consecutive curve points, leaves first.
+
+    X holds points in parameter order and S their parameters.  Leaf k
+    holds X[k : k + 1 + extra]: with extra = 1 it is the edge from X[k]
+    to X[k + 1], which its sphere contains because it contains both
+    endpoints.  A node of level l holds the points of 2^l consecutive
+    leaves.  Each level is (centre, radius, S0, S1): the centre of the
+    node's bounding box, the largest distance from it to the node's
+    points, and the parameters of its first and last point.  The levels
+    stop at 16 nodes or fewer.
+    """
+    N = len(X) - extra
+    owner = np.arange(len(X))
+    levels = []
+    w = 1
+    while True:
+        starts = np.arange(0, N, w)
+        last = np.minimum(starts + w, N) + (extra - 1)
+        lo = np.minimum(np.minimum.reduceat(X, starts), X[last])
+        hi = np.maximum(np.maximum.reduceat(X, starts), X[last])
+        C = 0.5 * (lo + hi)
+        d = X - C[np.minimum(owner // w, len(starts) - 1)]
+        e = X[last] - C
+        R = np.maximum(np.maximum.reduceat(np.sqrt(_dot(d, d)), starts), np.sqrt(_dot(e, e)))
+        levels.append((C, R, S[starts], S[last]))
+        if len(starts) <= 16:
+            return levels
+        w *= 2
+
+
+def _descend(levels, keep):
+    """Blocks (a, b) of the leaf pairs a <= b of the tree levels (from
+    _arc_tree) that keep holds for, a dual-tree descent (Gray and Moore
+    2001).
+
+    keep(gap, level, a, b) is a bool mask over a block of node pairs
+    a <= b of one level, gap = |cA - cB| - rA - rB the distance between
+    their spheres (negative when they overlap).  It must hold for a node
+    pair whenever it holds for some pair of leaves below it; a NaN gap
+    compares false and drops the pair.  A kept pair splits into its
+    child pairs with A <= B.  Node pairs are taken in blocks of at most
+    _block_pairs(_NODE_PAIR_BYTES), depth first, so memory stays bounded.
+    """
+    step = _block_pairs(_NODE_PAIR_BYTES)
+    a, b = np.triu_indices(len(levels[-1][0]))
+    stack = [(len(levels) - 1, a, b)]
+    while stack:
+        lv, a, b = stack.pop()
+        if len(a) > step:
+            stack.append((lv, a[step:], b[step:]))
+            a, b = a[:step], b[:step]
+        C, R = levels[lv][:2]
+        diff = C[a] - C[b]
+        k = keep(np.sqrt(_dot(diff, diff)) - R[a] - R[b], levels[lv], a, b)
+        a, b = a[k], b[k]
+        if not len(a):
+            continue
+        if lv == 0:
+            yield a, b
+            continue
+        ca, cb = 2 * a[:, None] + _CHILD_A, 2 * b[:, None] + _CHILD_B
+        ok = (ca <= cb) & (cb < len(levels[lv - 1][0]))
+        stack.append((lv - 1, ca[ok], cb[ok]))
+
+
+def _edge_pairs(c: PolyCurve, keep):
+    """Nonempty blocks (i, j) of vertex-disjoint edge pairs i < j, each
+    pair once: the leaf pairs _descend keeps over the edge tree of c (one
+    leaf an edge), less those sharing a vertex."""
     m = c.m
     V = c.vertices
-    D = c.edge_lens[:, None] * c.edge_dirs
-    pad = 1e-12 * (1.0 + float(np.abs(V).max()))
-    pieces = np.maximum(np.ceil(c.edge_lens / max(c.total_len / m, r)), 1).astype(np.int64)
-    own = np.repeat(np.arange(m), pieces)
-    rank = np.arange(len(own)) - (np.cumsum(pieces) - pieces)[own]
-    mids = V[own] + ((rank + 0.5) / pieces[own])[:, None] * D[own]
-    h_max = float((c.edge_lens / pieces).max())
-    cell = r + h_max + pad
-    # bin indices start at 1 and the key space has one spare bin on each
-    # side, so a neighbour's key never wraps onto another bin
-    keys = np.floor((mids - mids.min(axis=0)) / cell).astype(np.int64) + 1
-    dims = keys.max(axis=0) + 2
-    stride = np.array([dims[1] * dims[2], dims[2], 1])
-    code = keys @ stride
-    order = np.argsort(code)
-    bins, starts, counts = np.unique(code[order], return_index=True, return_counts=True)
-    target = bins[:, None] + (_HALF_OFFSETS @ stride)[None, :]
-    pos = np.minimum(np.searchsorted(bins, target), len(bins) - 1)
-    bin_a, col = np.nonzero(bins[pos] == target)
-    bin_b = pos[bin_a, col]
-    # one row per member x of bin a, over bin b, or over the members
-    # after x when b is a itself; x and the rows index the sorted pieces
-    rows = _row_blocks(np.arange(len(bin_a)), starts[bin_a], counts[bin_a], pair_bytes)
-    p, x = (np.concatenate(part) for part in zip(*rows))
-    b = bin_b[p]
-    first = np.where(bin_a[p] == b, x + 1, starts[b])
-    lens = starts[b] + counts[b] - first
-    centre, half = V + 0.5 * D, 0.5 * c.edge_lens
-
-    def owner_pairs(block):
-        ea, eb = own[order[block[0]]], own[order[block[1]]]
-        i, j = np.minimum(ea, eb), np.maximum(ea, eb)
-        keep = (j > i + 1) & ~((i == 0) & (j == m - 1))
-        i, j = i[keep], j[keep]
-        gap = centre[i] - centre[j]
-        keep = np.sqrt(_dot(gap, gap)) <= (r + pad) + half[i] + half[j]
-        return i[keep], j[keep]
-
-    # map drops each piece block once its owner pairs are out
-    blocks = map(owner_pairs, _row_blocks(x, first, lens, pair_bytes))
-    if len(own) > m:
-        pairs = _distinct(np.concatenate([_distinct(i * m + j) for i, j in blocks]))
-        step = _block_pairs(pair_bytes)
-        blocks = (divmod(pairs[k : k + step], m) for k in range(0, len(pairs), step))
-    yield from (blk for blk in blocks if len(blk[0]))
+    for i, j in _descend(_arc_tree(np.concatenate([V, V[:1]]), c.cum_len, 1), keep):
+        ok = (j > i + 1) & ~((i == 0) & (j == m - 1))
+        if ok.any():
+            yield i[ok], j[ok]
 
 
 def _u0(c: PolyCurve) -> float:
@@ -375,26 +392,34 @@ def _u0(c: PolyCurve) -> float:
     return float(_seg_seg_dist(V, D, V[skip], D[skip]).min())
 
 
-def _min_clearance_pair(c: PolyCurve):
-    """Exact clearance and the edge pair attaining it, (d, i, j) with i < j;
+def _closest_edges(c: PolyCurve):
+    """Clearance, as _seg_seg_dist measures it, and the edge pair attaining
+    it, (d, i, j) with i < j;
     (inf, -1, -1) when no two edges are vertex-disjoint.  Among pairs at
     exactly the minimum distance, the lexicographically smallest (i, j)
-    is returned.
+    is returned.  Uncached: PolyCurve._clearance keeps its result.
 
     u0, the smallest distance between edges i and i + 2, bounds the answer,
-    so the pairs within u0 hold every closest pair.  Each is measured as
-    (V[i], V[j]) with i < j, the call an all-pairs scan makes, so the
-    distance is the all-pairs minimum bit for bit."""
+    so the edge pairs whose spheres lie within u0 (plus _pad for rounding)
+    hold every closest pair.  Each is measured as (V[i], V[j]) with i < j,
+    the call an all-pairs scan makes, so the distance is the all-pairs
+    minimum bit for bit."""
     m = c.m
     V = c.vertices
     D = c.edge_lens[:, None] * c.edge_dirs
+    r = _u0(c) + _pad(c)
     best = (math.inf, -1, -1)
-    for i, j in _near_edge_pairs(c, _u0(c), _SEG_PAIR_BYTES):
+    for i, j in _edge_pairs(c, lambda gap, *_: gap <= r):
         d = _seg_seg_dist(V[i], D[i], V[j], D[j])
         k = np.flatnonzero(d == d.min())
         k = k[np.argmin(i[k] * m + j[k])]
         best = min(best, (float(d[k]), int(i[k]), int(j[k])))
     return best
+
+
+def _min_clearance_pair(c: PolyCurve):
+    """(d, i, j) of _closest_edges, computed once per curve."""
+    return c._clearance
 
 
 def min_clearance(c: PolyCurve) -> float:
@@ -403,8 +428,7 @@ def min_clearance(c: PolyCurve) -> float:
     Returns 0.0 when such a pair touches or crosses (the curve is not
     embedded), and +inf for a triangle, which has no eligible pairs.
     """
-    d, _, _ = _min_clearance_pair(c)
-    return d
+    return c._clearance[0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from kdl import geom
 from kdl.geom import build_polycurve
 
 
@@ -36,3 +37,18 @@ def square():
 def hexagon():
     # vertices on the unit circle -> side length 1
     return build_polycurve(regular_polygon(6))
+
+
+@pytest.fixture
+def clearance_calls(monkeypatch):
+    """The curves the uncached clearance computation has measured, in
+    order, from the start of the test."""
+    calls = []
+    closest = geom._closest_edges
+
+    def recorded(c):
+        calls.append(c)
+        return closest(c)
+
+    monkeypatch.setattr(geom, "_closest_edges", recorded)
+    return calls

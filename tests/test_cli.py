@@ -7,7 +7,7 @@ import pytest
 
 from conftest import regular_polygon
 from kdl.bounds import make_report
-from kdl.cli import main
+from kdl.cli import _sweep_row, main
 from kdl.geom import build_polycurve, load_curve, save_curve
 from kdl.plat import PlatSpec, make_uniform_jm_spec
 
@@ -139,6 +139,8 @@ MALFORMED_CURVES = {
     "ragged": _curve_bytes([[0, 0, 0], [1, 0], [1, 1, 0], [0, 1, 0]]),
     "null-row": _curve_bytes([[0, 0, 0], None, [1, 1, 0], [0, 1, 0]]),
     "string-coordinate": _curve_bytes([[0, 0, 0], [1, "a", 0], [1, 1, 0], [0, 1, 0]]),
+    # a JSON integer too large for a float
+    "huge-integer-coordinate": _curve_bytes([[0, 0, 0], [10**400, 0, 0], [1, 1, 0], [0, 1, 0]]),
     "string-vertices": _curve_bytes("abc"),
     "strings-and-booleans": _curve_bytes(
         [["0", "0", "0"], [True, 0, 0], [1, "1e0", 0], [0, 1, False]]
@@ -267,6 +269,13 @@ def test_sweep_single_certified_row(tmp_path, capsys):
     assert float(row["sampled_delta"]) <= hi
     assert float(row["sampled_delta"]) <= float(row["upper_bound"])
     assert int(row["runtime_ms"]) > 0
+
+
+def test_sweep_row_computes_clearance_once(clearance_calls):
+    # build_plat, make_report and distortion_certified all read the
+    # clearance of the one curve
+    row = _sweep_row(3, 3, 0.05, 16)
+    assert len(clearance_calls) == 1 and row["alpha"] > 0.0
 
 
 def test_sweep_b5_row_fills_certified_interval(capsys):

@@ -524,9 +524,9 @@ random_curves = st.builds(
 )
 
 
-def descended(levels, c, t):
-    """Every leaf pair _descend keeps at t, as a set."""
-    return set(block_pairs(distortion._descend(levels, c.total_len, t, distortion._pad(c))))
+def descended(blocks):
+    """Every pair of the blocks, as a set."""
+    return set(block_pairs(blocks))
 
 
 @given(random_curves, st.floats(0.0, 1.0))
@@ -538,9 +538,7 @@ def test_descent_keeps_every_cell_above_t(c, q):
     _, ii, jj, u = all_pairs_grid(c)
     finite = np.sort(u[np.isfinite(u)])
     t = float(np.nextafter(finite[int(q * (len(finite) - 1))], -np.inf))
-    V = c.vertices
-    levels = distortion._arc_tree(np.concatenate([V, V[:1]]), c.cum_len, 1)
-    got = descended(levels, c, t)
+    got = descended(geom._edge_pairs(c, distortion._arc_keep(c, t)))
     assert {(i, j) for i, j in zip(ii[u > t], jj[u > t])} <= got
 
 
@@ -553,8 +551,8 @@ def test_descent_keeps_every_point_pair_at_t(c, n_samples, q):
     i, j = np.triu_indices(len(params), 1)
     r = distortion._ratios(P[i], P[j], params[i], params[j], c.total_len)
     t = float(np.sort(r)[int(q * (len(r) - 1))])
-    levels = distortion._arc_tree(P, params, 0)
-    got = descended(levels, c, t)
+    levels = geom._arc_tree(P, params, 0)
+    got = descended(geom._descend(levels, distortion._arc_keep(c, t)))
     assert {(a, b) for a, b in zip(i[r >= t], j[r >= t])} <= got
 
 
@@ -569,9 +567,11 @@ def test_descent_grid_certificate_matches_all_pairs(c, eps):
 
 
 def spy_descent(monkeypatch):
-    """Record the block sizes of every _descend call, a list per call."""
+    """Record the block sizes of every _descend call, a list per call:
+    the point-pair scans call it from distortion, clearance and the
+    certified grid from geom."""
     calls = []
-    descend = distortion._descend
+    descend = geom._descend
 
     def recorded(*args):
         calls.append([])
@@ -579,6 +579,7 @@ def spy_descent(monkeypatch):
             calls[-1].append(len(blk[0]))
             yield blk
 
+    monkeypatch.setattr(geom, "_descend", recorded)
     monkeypatch.setattr(distortion, "_descend", recorded)
     return calls
 
@@ -593,25 +594,26 @@ def spy_descent(monkeypatch):
 )
 def test_descent_in_small_blocks_matches(monkeypatch, make):
     # with blocks of 1,000 node pairs the frontier and the kept leaf
-    # pairs span several blocks; the results do not move
-    c = make()
-
-    def grid():
+    # pairs span several blocks; the results do not move.  Each run
+    # gets a fresh curve, so the certified call computes its clearance
+    # in small blocks too, rather than reading the cached one.
+    def grid(c):
         g = distortion_certified(c, eps=0.05, max_expansions=0)
         return g.lo, g.hi, g.witness, g.budget_exceeded
 
-    def sampled():
+    def sampled(c):
         w = distortion_sampled(c, 1024)
         return w.ratio, w.s, w.t
 
-    runs = (grid, sampled, lambda: distortion._initial_vertex_scan(c))
-    want = [run() for run in runs]
-    monkeypatch.setattr(geom, "_BLOCK_BYTES", 1000 * distortion._NODE_PAIR_BYTES)
+    runs = (grid, sampled, distortion._initial_vertex_scan, geom._min_clearance_pair)
+    want = [run(make()) for run in runs]
+    monkeypatch.setattr(geom, "_BLOCK_BYTES", 1000 * geom._NODE_PAIR_BYTES)
     calls = spy_descent(monkeypatch)
     for run, value in zip(runs, want):
         calls.clear()
-        assert run() == value
-        # a certified call's last descent is the grid's
-        several = len(calls[-1]) if run is grid else max(map(len, calls))
-        assert several > 1
+        assert run(make()) == value
+        # the first descent is the clearance's (in build_plat for the
+        # plat), a certified call's last the grid's
+        several = [len(calls[0]), len(calls[-1])] if run is grid else [max(map(len, calls))]
+        assert min(several) > 1
         assert max(max(blocks, default=0) for blocks in calls) <= 1000

@@ -22,7 +22,8 @@ from kdl.geom import (
     segment_min_distance,
     wrap_param,
 )
-from kdl.geom import _SEG_PAIR_BYTES, _min_clearance_pair, _near_edge_pairs, _seg_seg_dist
+from kdl import geom
+from kdl.geom import _min_clearance_pair, _seg_seg_dist
 from kdl.plat import build_plat, make_uniform_jm_spec
 
 
@@ -289,6 +290,16 @@ def test_clearance_hexagon(hexagon):
     assert clearance_oracle(regular_polygon(6)) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_clearance_computed_once_per_curve(clearance_calls):
+    c = build_polycurve(jittered_polygon(40, seed=5, amp=0.3))
+    assert min_clearance(c) == _min_clearance_pair(c)[0] == min_clearance(c)
+    assert len(clearance_calls) == 1 and clearance_calls[0] is c
+    # a curve built from the same vertices computes its own
+    fresh = build_polycurve(c.vertices)
+    assert min_clearance(fresh) == min_clearance(c)
+    assert len(clearance_calls) == 2 and clearance_calls[1] is fresh
+
+
 def test_clearance_triangle_has_no_pairs():
     tri = build_polycurve([[0, 0, 0], [1, 0, 0], [0.5, 1, 0]])
     assert min_clearance(tri) == math.inf
@@ -325,17 +336,35 @@ def clearance_all_pairs(c):
     return best, tuple(np.concatenate(a) for a in zip(*scan))
 
 
-def assert_near_pairs_cover(c, r, iu, ju, dist):
-    # the enumerator's pairs are vertex-disjoint, i < j, each once, and hold
-    # every pair at most r apart
-    m = c.m
-    blocks = _near_edge_pairs(c, r, _SEG_PAIR_BYTES)
+def assert_descent_covers(c, r, iu, ju, dist):
+    # the edge pairs the descent keeps at radius r, as clearance keeps
+    # them at u0, are vertex-disjoint, i < j, each once, and hold every
+    # pair at most r apart
+    m, pad = c.m, geom._pad(c)
+    blocks = geom._edge_pairs(c, lambda gap, *_: gap <= r + pad)
     got = np.concatenate([np.empty(0, dtype=np.int64)] + [i * m + j for i, j in blocks])
     i, j = divmod(got, m)
     assert np.all(j >= i + 2) and not np.any((i == 0) & (j == m - 1))
     assert len(np.unique(got)) == len(got)
     near = dist <= r
     assert np.isin(iu[near] * m + ju[near], got).all()
+
+
+def clearance_in_small_blocks(verts):
+    """_min_clearance_pair of a fresh curve on verts, with blocks of 8
+    node pairs, and the number of leaf blocks its descent yielded."""
+    yielded = []
+    descend = geom._descend
+
+    def recorded(*args):
+        for blk in descend(*args):
+            yielded.append(blk)
+            yield blk
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geom, "_BLOCK_BYTES", 8 * geom._NODE_PAIR_BYTES)
+        mp.setattr(geom, "_descend", recorded)
+        return _min_clearance_pair(build_polycurve(verts)), len(yielded)
 
 
 def assert_clearance_matches_all_pairs(c, radii=("u0", "mid", "diameter")):
@@ -347,17 +376,21 @@ def assert_clearance_matches_all_pairs(c, radii=("u0", "mid", "diameter")):
     diameter = np.linalg.norm(np.ptp(c.vertices, axis=0))
     r = {"u0": u0, "mid": math.sqrt(u0 * diameter), "diameter": diameter}
     for name in radii:
-        assert_near_pairs_cover(c, r[name], iu, ju, dist)
+        assert_descent_covers(c, r[name], iu, ju, dist)
+    # a fresh curve, so the cached clearance of c does not stand in
+    got, blocks = clearance_in_small_blocks(c.vertices)
+    assert got == best and blocks > 1
 
 
 @pytest.mark.parametrize("m", [4, 5, 40, 900])
-def test_clearance_grid_matches_brute(m):
+def test_clearance_descent_matches_all_pairs(m):
     assert_clearance_matches_all_pairs(build_polycurve(jittered_polygon(m, seed=11, amp=0.2)))
 
 
 def test_clearance_skewed_edge_lengths():
     # a 2000-gon keeping every vertex on one half and every 20th on the
-    # other: the long edges are 20x the median and cut into binning pieces
+    # other: the long edges are 20x the median, so the edge spheres
+    # differ widely in size
     verts = jittered_polygon(2000, seed=3, amp=0.2)
     c = build_polycurve(np.concatenate([verts[:1000], verts[1000::20]]))
     assert c.edge_lens.max() > 3.0 * np.median(c.edge_lens)
@@ -366,8 +399,8 @@ def test_clearance_skewed_edge_lengths():
 
 def test_clearance_mixed_huge_and_tiny_edges():
     # a triangle of ~1e3 sides whose corners are zigzags of 1e-3 edges
-    # climbing out of the plane: the long edges are cut into ~40 binning
-    # pieces each, close to the 2m bound on the piece count
+    # climbing out of the plane: a node sphere over a long edge holds
+    # whole zigzags, six orders of magnitude smaller
     corners = np.array([[0.0, 0.0, 0.0], [1000.0, 0.0, 0.0], [500.0, 800.0, 0.0]])
     step = 1e-3 / math.sqrt(3.0)
     zig = np.array([[step * (k % 2), step * (k % 2), step * k] for k in range(41)])
