@@ -15,7 +15,12 @@ process, which calls its layers once each, in this order: the build
 (``geom._closest_edges``, the computation ``min_clearance`` caches per
 curve, so the layer times it even when the build already has),
 ``distortion_sampled(curve, 1024)``, the vertex scan
-(``distortion._initial_vertex_scan``) and ``distortion_certified``.
+(``distortion._initial_vertex_scan``) and ``distortion_certified``.  A
+last input, the jittered 64-gon of acceptance criterion 09 (radial
+noise 0.05, numpy seed 12345), has one layer: ``refine`` for 2,000 moves
+(step 0.05, clearance floor 0.05, seed 7), recording the sampled ratio
+of the result over its own vertex count of samples, the refiner's
+objective, and a SHA-256 of its vertices.
 
 Each record is one layer of one input: its wall time in seconds and the
 process's peak RSS in MB once the layer has returned (the high-water
@@ -28,6 +33,7 @@ close together in time.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -52,12 +58,15 @@ from kdl import (  # noqa: E402
 )
 from kdl.distortion import _initial_vertex_scan  # noqa: E402
 from kdl.geom import _closest_edges  # noqa: E402
+from kdl.refine import RefineConfig, refine  # noqa: E402
 
 PLAT_BS = (3, 4, 5, 6)
 PLAT_EPS = 0.05
 ROUND_M = 2048
 ROUND_EPS = 1e-3
 SAMPLES = 1024
+RING = "refine 64-gon"
+RING_CONFIG = RefineConfig(iterations=2000, step=0.05, clearance_floor=0.05, seed=7)
 
 
 def round_loop(m: int = ROUND_M) -> np.ndarray:
@@ -72,6 +81,14 @@ def round_loop(m: int = ROUND_M) -> np.ndarray:
         r += a_r * np.cos(f * th + p_r)
         z += a_z * np.cos(f * th + p_z)
     return np.stack([r * np.cos(th), r * np.sin(th), z], axis=1)
+
+
+def jittered_ring(m: int = 64, seed: int = 12345, amp: float = 0.05) -> np.ndarray:
+    """Planar m-gon with radial noise, the start of acceptance criterion 09."""
+    rng = np.random.default_rng(seed)
+    th = np.linspace(0.0, 2.0 * math.pi, m, endpoint=False)
+    r = 1.0 + amp * (2.0 * rng.random(m) - 1.0)
+    return np.stack([r * np.cos(th), r * np.sin(th), np.zeros(m)], axis=1)
 
 
 def peak_rss_mb() -> float:
@@ -89,6 +106,12 @@ def measure(name: str) -> list[dict]:
                         "peak_rss_mb": peak_rss_mb(), **describe(out)})
         return out
 
+    if name == RING:
+        layer("refine", lambda: refine(build_polycurve(jittered_ring()), RING_CONFIG),
+              lambda c: {"iterations": RING_CONFIG.iterations,
+                         "ratio": distortion_sampled(c, c.m).ratio,
+                         "vertices_sha256": hashlib.sha256(c.vertices.tobytes()).hexdigest()})
+        return records
     if name == "round":
         curve = layer("build", lambda: build_polycurve(round_loop()),
                       lambda c: {"call": "build_polycurve", "m": c.m})
@@ -145,7 +168,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--label", required=True, help="names the output .benchmarks/BENCH_<label>.json")
     args = ap.parse_args(argv)
-    names = [f"plat b={b}" for b in PLAT_BS] + ["round"]
+    names = [f"plat b={b}" for b in PLAT_BS] + ["round", RING]
     records = []
     ctx = get_context("spawn")
     for name in names:

@@ -33,7 +33,6 @@ from .geom import (
     _arc_tree,
     _block_pairs,
     _descend,
-    _dot,
     _edge_pairs,
     _interior_angles,
     _min_clearance_pair,
@@ -136,32 +135,48 @@ def helix_ratio_bound(t) -> float:
     return math.sqrt((math.pi * t / 2.0) ** 2 + 1.0)
 
 
-def _ratios(p, q, s, t, L) -> np.ndarray:
-    """Arc/chord ratio of point pairs p, q at parameters s, t on a loop of
-    length L, elementwise; chords below the floor give 0.  An open
-    polyline passes L = inf, so the arc is plain |s - t|."""
-    diff = p - q
-    chord = np.sqrt(_dot(diff, diff))
-    d = np.abs(s - t)
+def _ratios(X, S, i, j, L) -> np.ndarray:
+    """Arc/chord ratio of the point pairs (i[k], j[k]), elementwise: X
+    holds the points' coordinate columns, shape (3, n), and S their
+    parameters on a loop of length L.  Chords below the floor give 0.
+    An open polyline passes L = inf, so the arc is plain |s - t|.
+
+    The chord sums its squares as (dx^2 + dz^2) + dy^2, the order in
+    which numpy 2.4's einsum sums a length-3 axis, so every ratio is ==
+    the row form arc / sqrt(_dot(p - q, p - q)); spelled out, it no
+    longer depends on einsum's inner loop.
+    """
+    dx, dy, dz = (x.take(i) - x.take(j) for x in X)
+    chord = np.sqrt((dx * dx + dz * dz) + dy * dy)
+    d = np.abs(S.take(i) - S.take(j))
     arc = np.minimum(d, L - d)
-    ok = chord >= _CHORD_FLOOR
-    return np.where(ok, arc / np.where(ok, chord, 1.0), 0.0)
+    return np.divide(arc, chord, out=np.zeros_like(arc), where=chord >= _CHORD_FLOOR)
 
 
 def _pair_ratios(c: PolyCurve, s: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Ratio for parameter arrays on curve c."""
-    return _ratios(_points_at(c, s), _points_at(c, t), s, t, c.total_len)
+    n = len(s)
+    S = np.concatenate([s, t])
+    k = np.arange(n)
+    return _ratios(_points_at(c, S).T, S, k, k + n, c.total_len)
 
 
-def _max_ratio(points: np.ndarray, params: np.ndarray, L: float):
-    """Largest ratio over all pairs i < j of points at params on a loop of
-    length L (inf for an open polyline).  Returns (ratio, i, j), the
-    first maximal pair in row-major order; ratio is -1 for fewer than
-    two points."""
+def _triangle(n: int):
+    """Blocks (i, j) of the pairs i < j of n points, in row-major order."""
+    i = np.arange(max(n - 1, 0))
+    return _row_blocks(i, i + 1, n - 1 - i, _RATIO_PAIR_BYTES)
+
+
+def _max_ratio(X: np.ndarray, S: np.ndarray, L: float, blocks=None):
+    """Largest ratio over all pairs i < j of the points with coordinate
+    columns X at parameters S on a loop of length L (inf for an open
+    polyline).  blocks, when given, are the blocks of _triangle(len(S)),
+    built once by a caller that scans many point sets of one size.
+    Returns (ratio, i, j), the first maximal pair in row-major order;
+    ratio is -1 for fewer than two points."""
     best, bi, bj = -1.0, 0, 0
-    i = np.arange(max(len(points) - 1, 0))
-    for ii, jj in _row_blocks(i, i + 1, len(points) - 1 - i, _RATIO_PAIR_BYTES):
-        r = _ratios(points[ii], points[jj], params[ii], params[jj], L)
+    for ii, jj in _triangle(len(S)) if blocks is None else blocks:
+        r = _ratios(X, S, ii, jj, L)
         k = int(np.argmax(r))
         if r[k] > best:
             best, bi, bj = float(r[k]), int(ii[k]), int(jj[k])
@@ -208,15 +223,16 @@ def _curve_max_ratio(c: PolyCurve, params: np.ndarray):
     L, n = c.total_len, len(params)
     points = _points_at(c, params)
     if (n - 1) ** 2 <= _block_pairs(_RATIO_PAIR_BYTES):
-        return _max_ratio(points, params, L)
+        return _max_ratio(points.T, params, L)
     order = np.argsort(params, kind="stable")
     ps, P = params[order], points[order]
+    X = np.ascontiguousarray(P.T)
     best = (-1.0, 0)  # (ratio, -(i * n + j)) with i < j indices into params
 
     def visit(a, b):
         """Fold the pairs a[k], b[k] (indices into ps) into best."""
         nonlocal best
-        ratio = _ratios(P[a], P[b], ps[a], ps[b], L)
+        ratio = _ratios(X, ps, a, b, L)
         top = float(ratio.max(initial=-np.inf))
         if top >= best[0]:
             k = np.flatnonzero(ratio == top)
@@ -339,7 +355,7 @@ def max_pair_ratio_open(points):
         raise DegenerateCurve("need an (n, 3) array with n >= 2")
     seg = np.linalg.norm(P[1:] - P[:-1], axis=1)
     cum = np.concatenate(([0.0], np.cumsum(seg)))
-    return _max_ratio(P, cum, math.inf)
+    return _max_ratio(P.T, cum, math.inf)
 
 
 # ---------------------------------------------------------------------------

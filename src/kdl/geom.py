@@ -154,7 +154,8 @@ def _points_at(c: PolyCurve, s: np.ndarray) -> np.ndarray:
     # only overshoot past m-1 through float dust on the last edge
     k = np.clip(k, 0, c.m - 1)
     local = s - c.cum_len[k]
-    return c.vertices[k] + local[..., None] * c.edge_dirs[k]
+    # take gathers whole rows some 3x faster than fancy indexing
+    return c.vertices.take(k, axis=0) + local[..., None] * c.edge_dirs.take(k, axis=0)
 
 
 def point_at(c: PolyCurve, s: float) -> np.ndarray:
@@ -373,11 +374,26 @@ def _descend(levels, keep):
 def _edge_pairs(c: PolyCurve, keep):
     """Nonempty blocks (i, j) of vertex-disjoint edge pairs i < j, each
     pair once: the leaf pairs _descend keeps over the edge tree of c (one
-    leaf an edge), less those sharing a vertex."""
+    leaf an edge), less those sharing a vertex.
+
+    Node pairs whose leaf pairs all share a vertex stop a level early:
+    self pairs of level 1 (two consecutive edges each) and self and
+    adjacent pairs of level 0.  Only the wrap pair (0, m - 1) is left to
+    drop from the leaf pairs."""
     m = c.m
     V = c.vertices
-    for i, j in _descend(_arc_tree(np.concatenate([V, V[:1]]), c.cum_len, 1), keep):
-        ok = (j > i + 1) & ~((i == 0) & (j == m - 1))
+    levels = _arc_tree(np.concatenate([V, V[:1]]), c.cum_len, 1)
+
+    def disjoint(gap, level, a, b):
+        k = keep(gap, level, a, b)
+        if level is levels[0]:
+            return k & (b > a + 1)
+        if len(levels) > 1 and level is levels[1]:
+            return k & (b > a)
+        return k
+
+    for i, j in _descend(levels, disjoint):
+        ok = ~((i == 0) & (j == m - 1))
         if ok.any():
             yield i[ok], j[ok]
 

@@ -403,7 +403,7 @@ def max_adjacent_arc_ratio(curve: PolyCurve):
         b_ = (a + 1) % n_arcs
         i0, i1 = curve.arcs[a].vrange[0], curve.arcs[b_].vrange[1]
         idx = np.arange(i0, i1 + 1 if i1 > i0 else curve.m + i1 + 1) % curve.m
-        r, _, _ = _max_ratio(curve.vertices[idx], curve.cum_len[idx], curve.total_len)
+        r, _, _ = _max_ratio(curve.vertices[idx].T, curve.cum_len[idx], curve.total_len)
         if r > best:
             best, best_pair = r, (a, b_)
     return best, best_pair

@@ -12,6 +12,12 @@ vertex count itself plus that many equally spaced points, the same set
 ``distortion_sampled(curve, m)`` uses); the recorded best-so-far is what
 :func:`refine` returns, so the output is never worse than the input
 under the run's own objective.
+
+The vertex count is fixed for a run, so the pair indices of the
+objective's point set (the pair triangle, while it fits one block) and
+the next-vertex index are built once per run, not once per move.  The
+objective itself is not incremental: one move shifts every equally
+spaced sample.
 """
 
 from __future__ import annotations
@@ -21,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distortion import _max_ratio
+from .distortion import _RATIO_PAIR_BYTES, _max_ratio, _triangle
 from .errors import InfeasibleStart
-from .geom import PolyCurve, _seg_seg_dist, build_polycurve, min_clearance
+from .geom import PolyCurve, _block_pairs, _seg_seg_dist, build_polycurve, min_clearance
 
 __all__ = ["RefineConfig", "refine"]
 
@@ -46,14 +52,16 @@ class RefineConfig:
             raise ValueError(f"clearance_floor must be positive, got {self.clearance_floor!r}")
 
 
-def _sampled_max_ratio(verts: np.ndarray, n_samples: int) -> float:
+def _sampled_max_ratio(verts: np.ndarray, nxt: np.ndarray, n_samples: int, blocks) -> float:
     """Worst arc/chord ratio over vertices plus n_samples spaced points.
 
     Same sample set and ratio kernel as distortion_sampled, built from the
     raw vertex array so the annealing loop needs no PolyCurve per move.
+    nxt[k] is the vertex after vertex k, and blocks the pair blocks of
+    the run (None streams them; see refine).
     """
     m = len(verts)
-    deltas = np.roll(verts, -1, axis=0) - verts
+    deltas = verts.take(nxt, axis=0) - verts
     lens = np.sqrt(np.einsum("ij,ij->i", deltas, deltas))
     L = float(lens.sum())
     cum = np.empty(m + 1)
@@ -63,17 +71,19 @@ def _sampled_max_ratio(verts: np.ndarray, n_samples: int) -> float:
     k = np.searchsorted(cum, sp, side="right") - 1
     np.clip(k, 0, m - 1, out=k)
     frac = (sp - cum[k]) / lens[k]
-    extra = verts[k] + frac[:, None] * deltas[k]
-    P = np.concatenate([verts, extra])
+    X = np.empty((3, m + n_samples))
+    X[:, :m] = verts.T
+    X[:, m:] = (verts.take(k, axis=0) + frac[:, None] * deltas.take(k, axis=0)).T
     params = np.concatenate([cum[:m], sp])
-    return _max_ratio(P, params, L)[0]
+    return _max_ratio(X, params, L, blocks)[0]
 
 
-def _moved_clearance(verts: np.ndarray, vi: int) -> float:
+def _moved_clearance(verts: np.ndarray, nxt: np.ndarray, vi: int) -> float:
     """Least distance from the two edges at vertex vi to the edges that
-    share no vertex with them (inf when there are none)."""
+    share no vertex with them (inf when there are none); nxt[k] is the
+    vertex after vertex k."""
     m = len(verts)
-    deltas = np.roll(verts, -1, axis=0) - verts
+    deltas = verts.take(nxt, axis=0) - verts
     edges = [(vi - 1) % m, vi]
     rows = _seg_seg_dist(verts[edges, None], deltas[edges, None], verts, deltas)
     for row, e in zip(rows, edges):
@@ -103,9 +113,14 @@ def refine(c: PolyCurve, cfg: RefineConfig, log_path=None) -> PolyCurve:
     m = c.m
     verts = c.vertices.copy()
     n_samples = m
+    # the triangle is held only while it fits one block; a larger one is
+    # streamed on every move, so memory stays bounded
+    n = m + n_samples
+    blocks = tuple(_triangle(n)) if (n - 1) ** 2 <= _block_pairs(_RATIO_PAIR_BYTES) else None
+    nxt = (np.arange(m) + 1) % m
 
     step_eff = min(cfg.step, 0.5 * cfg.clearance_floor)
-    cur_obj = _sampled_max_ratio(verts, n_samples)
+    cur_obj = _sampled_max_ratio(verts, nxt, n_samples, blocks)
     best_obj = cur_obj
     best_verts = verts.copy()
     T = 0.01
@@ -130,7 +145,7 @@ def refine(c: PolyCurve, cfg: RefineConfig, log_path=None) -> PolyCurve:
 
         cand_verts = verts.copy()
         cand_verts[vi] = cand_v
-        cand_obj = _sampled_max_ratio(cand_verts, n_samples)
+        cand_obj = _sampled_max_ratio(cand_verts, nxt, n_samples, blocks)
         delta = cand_obj - cur_obj
         if delta > 0.0 and not (float(rng.random()) < math.exp(-delta / max(T, 1e-300))):
             T *= _COOLING
@@ -138,7 +153,7 @@ def refine(c: PolyCurve, cfg: RefineConfig, log_path=None) -> PolyCurve:
         # objective accepted the move; the clearance floor has the veto.
         # Pairs away from the two moved edges are unchanged and cleared the
         # floor when their state was accepted, so only the moved ones count.
-        if _moved_clearance(cand_verts, vi) >= cfg.clearance_floor:
+        if _moved_clearance(cand_verts, nxt, vi) >= cfg.clearance_floor:
             verts = cand_verts
             cur_obj = cand_obj
             if cur_obj < best_obj:

@@ -94,6 +94,46 @@ def test_max_pair_ratio_open_right_angle():
     assert (i, j) == (0, 2)
 
 
+def row_ratios(p, q, s, t, L):
+    """The ratio kernel in row form, (n, 3) points p and q: the arc over
+    sqrt(_dot(p - q, p - q)), 0 for chords below the floor."""
+    diff = p - q
+    chord = np.sqrt(geom._dot(diff, diff))
+    d = np.abs(s - t)
+    arc = np.minimum(d, L - d)
+    ok = chord >= distortion._CHORD_FLOOR
+    return np.where(ok, arc / np.where(ok, chord, 1.0), 0.0)
+
+
+@given(
+    st.integers(1, 300),
+    st.sampled_from([1e-6, 1.0, 1e6]),
+    st.sampled_from([0.0, 1e8]),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_ratio_kernel_matches_row_form(n, scale, shift, closed, seed):
+    # the column kernel sums the squared chord in einsum's order, so
+    # every ratio is == the row form's
+    rng = np.random.default_rng(seed)
+    P = scale * rng.normal(size=(n, 3)) + shift
+    S = np.sort(rng.uniform(0.0, 10.0 * scale * n, size=n))
+    L = 10.0 * scale * n if closed else math.inf
+    # a fifth of the points are copies of others; their pairs with the
+    # originals join coincident points, whose ratio the floor makes 0
+    kept = rng.random(n) >= 0.2
+    kept[0] = True
+    copy = np.flatnonzero(~kept)
+    orig = rng.choice(np.flatnonzero(kept), size=len(copy))
+    P[copy] = P[orig]
+    i, j = rng.integers(n, size=(2, 4 * n))
+    i, j = np.concatenate([i, copy]), np.concatenate([j, orig])
+    got = distortion._ratios(np.ascontiguousarray(P.T), S, i, j, L)
+    assert np.array_equal(got, row_ratios(P[i], P[j], S[i], S[j], L))
+    assert (got[4 * n :] == 0.0).all()
+
+
 def block_pairs(blocks):
     return [(int(i), int(j)) for ii, jj in blocks for i, j in zip(ii, jj)]
 
@@ -175,7 +215,7 @@ _triangle_max_ratio = distortion._max_ratio
 
 
 def triangle(c, params):
-    return _triangle_max_ratio(geom._points_at(c, params), params, c.total_len)
+    return _triangle_max_ratio(geom._points_at(c, params).T, params, c.total_len)
 
 
 def sample_params(c, n_samples):
@@ -193,9 +233,9 @@ def deepening(c, params, block_pairs=None):
         if block_pairs is not None:
             mp.setattr(geom, "_BLOCK_BYTES", block_pairs * distortion._RATIO_PAIR_BYTES)
 
-        def recorded(points, *args):
-            calls.append(len(points))
-            return _triangle_max_ratio(points, *args)
+        def recorded(X, S, *args):
+            calls.append(len(S))
+            return _triangle_max_ratio(X, S, *args)
 
         mp.setattr(distortion, "_max_ratio", recorded)
         return distortion._curve_max_ratio(c, params), calls
@@ -549,7 +589,7 @@ def test_descent_keeps_every_point_pair_at_t(c, n_samples, q):
     params = np.sort(sample_params(c, n_samples))
     P = geom._points_at(c, params)
     i, j = np.triu_indices(len(params), 1)
-    r = distortion._ratios(P[i], P[j], params[i], params[j], c.total_len)
+    r = distortion._ratios(P.T, params, i, j, c.total_len)
     t = float(np.sort(r)[int(q * (len(r) - 1))])
     levels = geom._arc_tree(P, params, 0)
     got = descended(geom._descend(levels, distortion._arc_keep(c, t)))

@@ -351,8 +351,10 @@ def assert_descent_covers(c, r, iu, ju, dist):
 
 
 def clearance_in_small_blocks(verts):
-    """_min_clearance_pair of a fresh curve on verts, with blocks of 8
-    node pairs, and the number of leaf blocks its descent yielded."""
+    """_min_clearance_pair of a fresh curve on verts, with blocks of 4
+    node pairs, and the number of leaf blocks its descent yielded.  Four
+    lets a 4-gon, whose descent keeps only its leaf pairs (0, 2), (0, 3)
+    and (1, 3), yield two blocks."""
     yielded = []
     descend = geom._descend
 
@@ -362,7 +364,7 @@ def clearance_in_small_blocks(verts):
             yield blk
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(geom, "_BLOCK_BYTES", 8 * geom._NODE_PAIR_BYTES)
+        mp.setattr(geom, "_BLOCK_BYTES", 4 * geom._NODE_PAIR_BYTES)
         mp.setattr(geom, "_descend", recorded)
         return _min_clearance_pair(build_polycurve(verts)), len(yielded)
 

@@ -1,11 +1,17 @@
+import hashlib
+import importlib
+
 import numpy as np
 import pytest
 
 from conftest import jittered_polygon
+from kdl import distortion, geom
 from kdl.errors import InfeasibleStart
 from kdl.distortion import distortion_sampled
 from kdl.geom import build_polycurve, min_clearance
 from kdl.refine import RefineConfig, refine
+
+refine_module = importlib.import_module("kdl.refine")
 
 
 @pytest.fixture
@@ -73,3 +79,51 @@ def test_config_validation():
         RefineConfig(iterations=10, step=0.0, clearance_floor=0.05, seed=0)
     with pytest.raises(ValueError):
         RefineConfig(iterations=10, step=0.05, clearance_floor=-1.0, seed=0)
+
+
+def sha256_f8(values):
+    return hashlib.sha256(np.asarray(values, dtype="<f8").tobytes()).hexdigest()
+
+
+@pytest.fixture
+def objective_calls(monkeypatch):
+    """The (value, blocks) of every objective evaluation, in order."""
+    calls = []
+    objective = refine_module._sampled_max_ratio
+
+    def recorded(verts, nxt, n_samples, blocks):
+        calls.append((objective(verts, nxt, n_samples, blocks), blocks))
+        return calls[-1][0]
+
+    monkeypatch.setattr(refine_module, "_sampled_max_ratio", recorded)
+    return calls
+
+
+def test_refine_trajectory_frozen(objective_calls):
+    # criterion 09's 64-gon, seed 7, 2,000 moves, against values recorded
+    # before the ratio kernel moved onto coordinate columns.  No move
+    # lowers the objective in this run, so the best curve is the start;
+    # the 2,001 objective values pin the trajectory, and a one-ulp change
+    # in any of them fails the test
+    c0 = build_polycurve(jittered_polygon(64, seed=12345))
+    out = refine(c0, RefineConfig(iterations=2000, step=0.05, clearance_floor=0.05, seed=7))
+    values = [v for v, _ in objective_calls]
+    assert len(values) == 2001
+    assert sha256_f8(values) == "8c4681169b8878fb7515ff0713085120d5363d13699bf13724960596a656a676"
+    assert sha256_f8(out.vertices) == "9c1945a4653a511bfe654114a7f929ba7f26e9cdfd46ff25a94c307f401bc00d"
+    assert repr(distortion_sampled(out, n_samples=out.m).ratio) == "1.7106979494813037"
+
+
+def test_refine_streams_pairs_past_one_block(monkeypatch, objective_calls, wobbly32):
+    # the 64-point objective has 2,016 pairs; with blocks of 500 they no
+    # longer fit one, so every move streams row blocks instead of holding
+    # the triangle, along the same trajectory
+    cfg = RefineConfig(iterations=300, step=0.05, clearance_floor=0.05, seed=9)
+    want = refine(wobbly32, cfg)
+    held = objective_calls[:]
+    objective_calls.clear()
+    monkeypatch.setattr(geom, "_BLOCK_BYTES", 500 * distortion._RATIO_PAIR_BYTES)
+    got = refine(wobbly32, cfg)
+    assert np.array_equal(got.vertices, want.vertices)
+    assert [v for v, _ in objective_calls] == [v for v, _ in held]
+    assert all(len(b) == 1 for _, b in held) and all(b is None for _, b in objective_calls)
