@@ -22,12 +22,16 @@ noise 0.05, numpy seed 12345), has one layer: ``refine`` for 2,000 moves
 of the result over its own vertex count of samples, the refiner's
 objective, and a SHA-256 of its vertices.
 
-Each record is one layer of one input: its wall time in seconds and the
-process's peak RSS in MB once the layer has returned (the high-water
-mark, so it never falls from one layer to the next), plus what the
-layer computed, so two files can be checked for equal results.  One run
-per figure: on a shared host, compare files made on the same machine
-close together in time.
+Every input runs 5 times, each time in a fresh process, the inputs taking
+turns so that a slow spell of a shared host spreads over all of them.
+Each record is one layer of one input: the median of its 5 wall times in
+seconds, with their least and largest value as the spread and all 5
+times in run order, and the median of the process's peak RSS in MB once
+the layer has returned (the high-water mark, so it never falls from one
+layer to the next), plus what the layer computed, so two files can be
+checked for equal results.  The computed values must agree across the 5
+runs, or the script stops.  On a shared host, compare files made on the
+same machine close together in time.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ import math
 import os
 import platform
 import resource
+import statistics
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -67,6 +72,7 @@ ROUND_EPS = 1e-3
 SAMPLES = 1024
 RING = "refine 64-gon"
 RING_CONFIG = RefineConfig(iterations=2000, step=0.05, clearance_floor=0.05, seed=7)
+RUNS = 5
 
 
 def round_loop(m: int = ROUND_M) -> np.ndarray:
@@ -140,8 +146,24 @@ def machine_note() -> dict:
         "system": platform.system(),
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "note": "one run per figure, each input in a fresh process",
+        "note": f"median and spread of {RUNS} runs per figure, each run of an input in a fresh process",
     }
+
+
+def summarize(runs: list[list[dict]]) -> list[dict]:
+    """One record per layer of one input from its runs' records: the
+    median time, its spread and the run times, and the median peak RSS.
+    The layer's computed values must agree across the runs."""
+    out = []
+    for recs in zip(*runs):
+        values = [{k: v for k, v in r.items() if k not in ("s", "peak_rss_mb")} for r in recs]
+        if any(v != values[0] for v in values):
+            raise SystemExit(f"{values[0]['input']} {values[0]['layer']}: runs computed different values")
+        times = [r["s"] for r in recs]
+        out.append({**values[0], "runs": len(recs), "s": statistics.median(times),
+                    "s_spread": [min(times), max(times)], "s_runs": times,
+                    "peak_rss_mb": statistics.median(r["peak_rss_mb"] for r in recs)})
+    return out
 
 
 def table(records: list[dict]) -> str:
@@ -154,7 +176,7 @@ def table(records: list[dict]) -> str:
         row = []
         for inp in inputs:
             r = cell.get((inp, name))
-            text = "" if r is None else f"{r['s']:.3f} s"
+            text = "" if r is None else f"{r['s']:.3f} s ({r['s_spread'][0]:.3f}–{r['s_spread'][1]:.3f})"
             if r is not None and "cells" in r:
                 text += f", {r['cells']:,} cells"
             row.append(text)
@@ -169,13 +191,15 @@ def main(argv=None) -> int:
     ap.add_argument("--label", required=True, help="names the output .benchmarks/BENCH_<label>.json")
     args = ap.parse_args(argv)
     names = [f"plat b={b}" for b in PLAT_BS] + ["round", RING]
-    records = []
+    runs = {name: [] for name in names}
     ctx = get_context("spawn")
-    for name in names:
-        # a fresh worker per input, so each peak RSS is that input's alone
-        with ProcessPoolExecutor(max_workers=1, mp_context=ctx) as pool:
-            records += pool.submit(measure, name).result()
-        print(f"{name} done", file=sys.stderr, flush=True)
+    for run in range(RUNS):
+        for name in names:
+            # a fresh worker per run of an input, so each peak RSS is that run's alone
+            with ProcessPoolExecutor(max_workers=1, mp_context=ctx) as pool:
+                runs[name].append(pool.submit(measure, name).result())
+        print(f"run {run + 1} of {RUNS} done", file=sys.stderr, flush=True)
+    records = [r for name in names for r in summarize(runs[name])]
     out_dir = os.path.join(ROOT, ".benchmarks")
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"BENCH_{args.label}.json")

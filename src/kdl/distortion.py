@@ -38,7 +38,6 @@ from .geom import (
     _min_clearance_pair,
     _pad,
     _points_at,
-    _row_blocks,
     _seg_seg_dist,
     _u0,
 )
@@ -135,22 +134,33 @@ def helix_ratio_bound(t) -> float:
     return math.sqrt((math.pi * t / 2.0) ** 2 + 1.0)
 
 
-def _ratios(X, S, i, j, L) -> np.ndarray:
-    """Arc/chord ratio of the point pairs (i[k], j[k]), elementwise: X
-    holds the points' coordinate columns, shape (3, n), and S their
-    parameters on a loop of length L.  Chords below the floor give 0.
-    An open polyline passes L = inf, so the arc is plain |s - t|.
+def _ratio_of(dx, dy, dz, ds, L) -> np.ndarray:
+    """Arc/chord ratio of point pairs from their coordinate and parameter
+    differences, elementwise, on a loop of length L (inf for an open
+    polyline, whose arc is plain |ds|).  Chords below the floor give 0.
+    The difference arrays are overwritten.
 
     The chord sums its squares as (dx^2 + dz^2) + dy^2, the order in
     which numpy 2.4's einsum sums a length-3 axis, so every ratio is ==
     the row form arc / sqrt(_dot(p - q, p - q)); spelled out, it no
-    longer depends on einsum's inner loop.
+    longer depends on einsum's inner loop.  A pair's differences taken
+    the other way round are the exact negations, so its ratio is the
+    same either way.
     """
-    dx, dy, dz = (x.take(i) - x.take(j) for x in X)
-    chord = np.sqrt((dx * dx + dz * dz) + dy * dy)
-    d = np.abs(S.take(i) - S.take(j))
-    arc = np.minimum(d, L - d)
-    return np.divide(arc, chord, out=np.zeros_like(arc), where=chord >= _CHORD_FLOOR)
+    chord = np.multiply(dx, dx, out=dx)
+    chord += np.multiply(dz, dz, out=dz)
+    chord += np.multiply(dy, dy, out=dy)
+    np.sqrt(chord, out=chord)
+    arc = np.abs(ds, out=ds)
+    np.minimum(arc, L - arc, out=arc)
+    return np.divide(arc, chord, out=np.zeros(arc.shape), where=chord >= _CHORD_FLOOR)
+
+
+def _ratios(X, S, i, j, L) -> np.ndarray:
+    """Arc/chord ratio of the point pairs (i[k], j[k]), elementwise: X
+    holds the points' coordinate columns, shape (3, n), and S their
+    parameters on a loop of length L (see _ratio_of)."""
+    return _ratio_of(*(x.take(i) - x.take(j) for x in (*X, S)), L)
 
 
 def _pair_ratios(c: PolyCurve, s: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -161,26 +171,41 @@ def _pair_ratios(c: PolyCurve, s: np.ndarray, t: np.ndarray) -> np.ndarray:
     return _ratios(_points_at(c, S).T, S, k, k + n, c.total_len)
 
 
-def _triangle(n: int):
-    """Blocks (i, j) of the pairs i < j of n points, in row-major order."""
-    i = np.arange(max(n - 1, 0))
-    return _row_blocks(i, i + 1, n - 1 - i, _RATIO_PAIR_BYTES)
-
-
-def _max_ratio(X: np.ndarray, S: np.ndarray, L: float, blocks=None):
+def _max_ratio(X: np.ndarray, S: np.ndarray, L: float):
     """Largest ratio over all pairs i < j of the points with coordinate
     columns X at parameters S on a loop of length L (inf for an open
-    polyline).  blocks, when given, are the blocks of _triangle(len(S)),
-    built once by a caller that scans many point sets of one size.
-    Returns (ratio, i, j), the first maximal pair in row-major order;
-    ratio is -1 for fewer than two points."""
-    best, bi, bj = -1.0, 0, 0
-    for ii, jj in _triangle(len(S)) if blocks is None else blocks:
-        r = _ratios(X, S, ii, jj, L)
-        k = int(np.argmax(r))
-        if r[k] > best:
-            best, bi, bj = float(r[k]), int(ii[k]), int(jj[k])
-    return best, bi, bj
+    polyline).  Returns (ratio, i, j), the smallest (i, j) among the
+    maximal pairs; ratio is -1 for fewer than two points.
+
+    The pairs go by cyclic offset: offset k pairs point i with point
+    (i + k) % n, and the offsets 1 .. n // 2 reach every pair (at n / 2,
+    for even n, each pair twice, once from either end).  The columns and
+    parameters are stored twice over, so a block of consecutive offsets
+    is one strided view of them, with no index arrays; each block holds
+    _block_pairs(_RATIO_PAIR_BYTES) // n offsets, at least one.
+    """
+    n = len(S)
+    if n < 2:
+        return -1.0, 0, 0
+    A = np.empty((4, 2 * n))
+    A[:3, :n] = X
+    A[3, :n] = S
+    A[:, n:] = A[:, :n]
+    s0, s1 = A.strides
+    step = max(1, _block_pairs(_RATIO_PAIR_BYTES) // n)
+    best = (-1.0, 0)  # (ratio, -(i * n + j)) with i < j
+    for k0 in range(1, n // 2 + 1, step):
+        nk = min(step, n // 2 + 1 - k0)
+        # W[:, a, i] = A[:, k0 + a + i], the partners of i at offset k0 + a
+        W = np.ndarray((4, nk, n), A.dtype, A, k0 * s1, (s0, s1, s1))
+        r = _ratio_of(*(A[:, None, :n] - W), L)
+        top = float(r.max())
+        if top >= best[0]:
+            a, ii = np.divmod(np.flatnonzero(r == top), n)
+            jj = (ii + k0 + a) % n
+            best = max(best, (top, -int((np.minimum(ii, jj) * n + np.maximum(ii, jj)).min())))
+    i, j = divmod(-best[1], n)
+    return best[0], int(i), int(j)
 
 
 def _arc_keep(c: PolyCurve, t: float):
@@ -215,10 +240,9 @@ def _curve_max_ratio(c: PolyCurve, params: np.ndarray):
     once a round, best), and the rounds stop once best >= t.  Once the
     halved value is 1 or less (no pair of distinct points has a ratio
     below 1) t is best itself, so that round is the last.  Every pair
-    that can tie the best is then visited, and ties go to the first
-    pair in row-major order of params, so the result is the full
-    triangle's.  When all pairs fit in one block the triangle runs
-    instead.
+    that can tie the best is then visited, and ties go to the smallest
+    pair (i, j) of indices into params, so the result is _max_ratio's.
+    When all pairs fit in one block _max_ratio runs instead.
     """
     L, n = c.total_len, len(params)
     points = _points_at(c, params)

@@ -285,20 +285,6 @@ def _block_pairs(pair_bytes: int) -> int:
     return max(1, _BLOCK_BYTES // pair_bytes)
 
 
-def _row_blocks(x: np.ndarray, first: np.ndarray, lens: np.ndarray, pair_bytes: int):
-    """Index blocks (i, j) in which row k pairs x[k] with first[k], ...,
-    first[k] + lens[k] - 1.  A block holds _block_pairs(pair_bytes) //
-    (longest row) whole rows, at least one, in order, so pairs come in
-    row-major order."""
-    rows = max(1, _block_pairs(pair_bytes) // max(int(lens.max(initial=0)), 1))
-    for r0 in range(0, len(x), rows):
-        n = lens[r0 : r0 + rows]
-        # j: a flat counter minus the row's start in the block, plus first[k]
-        yield np.repeat(x[r0 : r0 + rows], n), np.arange(n.sum()) + np.repeat(
-            first[r0 : r0 + rows] - (np.cumsum(n) - n), n
-        )
-
-
 def _pad(c: PolyCurve) -> float:
     """Absolute rounding margin for distances between points of c: the
     coordinates, not the distances, set the size of the rounding."""

@@ -134,35 +134,81 @@ def test_ratio_kernel_matches_row_form(n, scale, shift, closed, seed):
     assert (got[4 * n :] == 0.0).all()
 
 
-def block_pairs(blocks):
-    return [(int(i), int(j)) for ii, jj in blocks for i, j in zip(ii, jj)]
-
-
 @pytest.mark.parametrize("k", [1, 2])
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 37])
 def test_pair_blocks_cover_triangle_once(monkeypatch, n, k):
-    # the triangle j >= i + k as rows (i, i + k, n - k - i); a small
-    # budget, 50 pairs of 8 bytes, splits it into several blocks of rows
-    monkeypatch.setattr(geom, "_BLOCK_BYTES", 400)
-    i = np.arange(max(n - k, 0))
-    blocks = list(geom._row_blocks(i, i + k, n - k - i, 8))
+    # _max_ratio's blocks of k cyclic offsets (a budget of k * n pairs)
+    # reach every pair i < j, and no ordered pair twice.  Point i sits at
+    # x = i, so an entry's column gives i and its dx = i - j gives j
+    monkeypatch.setattr(geom, "_BLOCK_BYTES", k * max(n, 1) * distortion._RATIO_PAIR_BYTES)
+    blocks = []
+    ratio_of = distortion._ratio_of
+
+    def recorded(dx, *rest):
+        blocks.append(dx.copy())  # _ratio_of overwrites its inputs
+        return ratio_of(dx, *rest)
+
+    monkeypatch.setattr(distortion, "_ratio_of", recorded)
+    X = np.zeros((3, n))
+    X[0] = np.arange(n)
+    distortion._max_ratio(X, np.arange(n, dtype=float), math.inf)
+    assert all(len(block) <= k for block in blocks)
     if n > 20:
         assert len(blocks) > 1
-    want = [(i, j) for i in range(n) for j in range(i + k, n)]
-    assert block_pairs(blocks) == want
+    pairs = [(i, i - int(dx)) for block in blocks for row in block for i, dx in enumerate(row)]
+    assert len(set(pairs)) == len(pairs)
+    want = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    assert sorted({(min(p), max(p)) for p in pairs}) == want
 
 
-def test_row_blocks_ragged_rows(monkeypatch):
-    # rows of 3, 0, 4, 0, 2 and 5 pairs; 80 bytes at 8 a pair is 10
-    # pairs, and 10 // 5 = 2 whole rows a block
-    monkeypatch.setattr(geom, "_BLOCK_BYTES", 80)
-    x = np.array([7, 3, 3, 0, 9, 4])
-    first = np.array([0, 5, 2, 8, 1, 6])
-    lens = np.array([3, 0, 4, 0, 2, 5])
-    blocks = list(geom._row_blocks(x, first, lens, 8))
-    assert [len(ii) for ii, _ in blocks] == [3, 4, 7]
-    want = [(int(a), int(f) + t) for a, f, n in zip(x, first, lens) for t in range(n)]
-    assert block_pairs(blocks) == want
+def all_pairs_max(P, S, L):
+    """Brute-force reference for _max_ratio: every pair i < j through the
+    row form, the first maximal pair in row-major order."""
+    n = len(S)
+    i, j = np.triu_indices(n, 1)
+    r = row_ratios(P[i], P[j], S[i], S[j], L)
+    k = int(np.argmax(r))
+    return float(r[k]), int(i[k]), int(j[k])
+
+
+def window_input(shape, n, seed):
+    """Points (n, 3) and parameters of one kind: random, a regular
+    polygon or equally spaced collinear points (many exact ties), or
+    random points a third of which copy others (chords below the floor),
+    and the loop length they lie on."""
+    rng = np.random.default_rng(seed)
+    if shape == "regular":
+        return regular_polygon(n), np.arange(n) * 0.5, 0.5 * n
+    if shape == "collinear":
+        P = np.zeros((n, 3))
+        P[:, 0] = np.arange(n)
+        return P, np.arange(n, dtype=float), float(n)
+    P = rng.normal(size=(n, 3))
+    S = np.sort(rng.uniform(0.0, 3.0 * n, size=n))
+    if shape == "coincident":
+        copy = rng.choice(n, size=n // 3, replace=False)
+        P[copy] = P[rng.integers(n, size=len(copy))]
+    return P, S, 3.0 * n
+
+
+@pytest.mark.parametrize("small_blocks", [False, True], ids=["one-block", "blocks-of-3"])
+@pytest.mark.parametrize("closed", [True, False], ids=["closed", "open"])
+@pytest.mark.parametrize("shape", ["random", "regular", "collinear", "coincident"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 31, 64, 127, 128, 300])
+def test_window_max_matches_all_pairs(monkeypatch, n, shape, closed, small_blocks):
+    # == ratio and the same pair as the all-pairs scan, ties included;
+    # blocks of 3 offsets split every n >= 8 into several blocks
+    P, S, L = window_input(shape, n, seed=n)
+    L = L if closed else math.inf
+    if small_blocks:
+        monkeypatch.setattr(geom, "_BLOCK_BYTES", 3 * n * distortion._RATIO_PAIR_BYTES)
+    assert distortion._max_ratio(np.ascontiguousarray(P.T), S, L) == all_pairs_max(P, S, L)
+
+
+def test_window_max_all_coincident():
+    # every chord is below the floor: ratio 0 at the first pair
+    P = np.ones((6, 3))
+    assert distortion._max_ratio(P.T, np.arange(6.0), 6.0) == (0.0, 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +612,7 @@ random_curves = st.builds(
 
 def descended(blocks):
     """Every pair of the blocks, as a set."""
-    return set(block_pairs(blocks))
+    return {(int(i), int(j)) for ii, jj in blocks for i, j in zip(ii, jj)}
 
 
 @given(random_curves, st.floats(0.0, 1.0))
